@@ -1,10 +1,15 @@
 """Shared learner plumbing: kinds, hyperparameters, dispatch, persistence.
 
 Every learner trains on a sparse FeatureMatrix plus aligned labels and
-predicts over the fixed 8-class roster. Classes absent from the training
-data keep probability zero at prediction time. Model files are JSON with
-a versioned header; the recorded seed plus the training-data order (a
-fingerprint of the ordered sample ids) pin down stochastic learners.
+predicts over the fixed 8-class roster through one method: ``scores(X)``
+maps a dense (n, dim) array to (n, 8) class scores in ordinal order.
+``predict`` and ``predict_matrix`` take each row's argmax, ties going to
+the lowest ordinal. ``predict_proba`` divides the row by its sum, so only
+``probabilistic`` learners offer it: every kind but the linear SVM, whose
+margins may be negative. Classes absent from the training data score zero
+(the SVM: minus infinity). Model files are JSON with a versioned header;
+the recorded seed plus the training-data order (a fingerprint of the
+ordered sample ids) pin down stochastic learners.
 """
 from __future__ import annotations
 
@@ -12,6 +17,7 @@ import enum
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -112,29 +118,42 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _validate_params(kind: ModelKind, p: dict[str, object]) -> None:
+    def integer(key: str, low: int, note: str = "") -> None:
+        _require(_is_int(p[key]) and p[key] >= low, f"{key} must be an integer >= {low}{note}")
+
+    def real(key: str, in_range, bounds: str) -> None:
+        v = p[key]
+        ok = isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+        _require(ok and in_range(v), f"{key} must be a number {bounds}")
+
     if kind in (ModelKind.DECISION_TREE, ModelKind.RANDOM_FOREST,
                 ModelKind.GRADIENT_BOOSTED_TREES):
-        _require(int(p["max_depth"]) >= 0, "max_depth must be >= 0 (0 = unlimited)")
-        _require(int(p["min_samples_leaf"]) >= 1, "min_samples_leaf must be >= 1")
+        integer("max_depth", 0, " (0 = unlimited)")
+        integer("min_samples_leaf", 1)
     if kind is ModelKind.RANDOM_FOREST:
-        _require(int(p["n_trees"]) >= 1, "n_trees must be >= 1")
+        integer("n_trees", 1)
         mf = p["max_features"]
         _require(
-            mf in ("sqrt", "all") or (isinstance(mf, int) and mf >= 1),
+            mf in ("sqrt", "all") or (_is_int(mf) and mf >= 1),
             "max_features must be 'sqrt', 'all', or a positive integer",
         )
+        _require(isinstance(p["bootstrap"], bool), "bootstrap must be true or false")
     if kind is ModelKind.GRADIENT_BOOSTED_TREES:
-        _require(int(p["n_rounds"]) >= 1, "n_rounds must be >= 1")
-        _require(0.0 < float(p["learning_rate"]) <= 1.0, "learning_rate must be in (0, 1]")
-        _require(float(p["reg_lambda"]) >= 0.0, "reg_lambda must be >= 0")
+        integer("n_rounds", 1)
+        real("learning_rate", lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+        real("reg_lambda", lambda v: v >= 0.0, ">= 0")
     if kind is ModelKind.K_NEAREST_NEIGHBORS:
-        _require(int(p["k"]) >= 1, "k must be >= 1")
+        integer("k", 1)
     if kind is ModelKind.MULTINOMIAL_NAIVE_BAYES:
-        _require(float(p["alpha"]) > 0.0, "alpha must be > 0")
+        real("alpha", lambda v: v > 0.0, "> 0")
     if kind is ModelKind.LINEAR_SVM:
-        _require(float(p["reg_lambda"]) > 0.0, "reg_lambda must be > 0")
-        _require(int(p["epochs"]) >= 1, "epochs must be >= 1")
+        real("reg_lambda", lambda v: v > 0.0, "> 0")
+        integer("epochs", 1)
 
 
 @dataclass(frozen=True)
@@ -157,16 +176,12 @@ class ClassDistribution:
 
 
 class Learner:
-    """Interface every concrete learner implements."""
+    """Interface of every learner; the module docstring gives ``scores``."""
 
-    def predict_ordinal(self, x: np.ndarray) -> int:
+    probabilistic = True
+
+    def scores(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def predict_proba_vector(self, x: np.ndarray) -> np.ndarray:
-        raise Unsupported(f"{type(self).__name__} does not emit probabilities")
-
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        return np.array([self.predict_ordinal(x) for x in X], dtype=np.int64)
 
     def to_payload(self) -> dict:
         raise NotImplementedError
@@ -209,6 +224,20 @@ def _data_fingerprint(matrix: FeatureMatrix) -> str:
     return digest.hexdigest()
 
 
+def _learner_kind(kind: ModelKind):
+    """The kind's fit function and learner class."""
+    from . import bayes, boosting, cart, forest, neighbors, svm
+
+    return {
+        ModelKind.DECISION_TREE: (cart.fit, cart.DecisionTreeLearner),
+        ModelKind.RANDOM_FOREST: (forest.fit, forest.RandomForestLearner),
+        ModelKind.GRADIENT_BOOSTED_TREES: (boosting.fit, boosting.GradientBoostedTreesLearner),
+        ModelKind.K_NEAREST_NEIGHBORS: (neighbors.fit, neighbors.KNearestNeighborsLearner),
+        ModelKind.MULTINOMIAL_NAIVE_BAYES: (bayes.fit, bayes.NaiveBayesLearner),
+        ModelKind.LINEAR_SVM: (svm.fit, svm.LinearSvmLearner),
+    }[kind]
+
+
 def train(
     kind: ModelKind,
     matrix: FeatureMatrix,
@@ -216,8 +245,6 @@ def train(
     params: HyperParams | None = None,
 ) -> TrainedModel:
     """Fit one learner; deterministic given the data order and seed."""
-    from . import bayes, boosting, cart, forest, neighbors, svm
-
     if labels is None:
         labels = list(matrix.labels)
     if len(labels) != matrix.n_rows:
@@ -237,15 +264,8 @@ def train(
     resolved = params.resolve(kind)
     y = np.array([label.ordinal for label in labels], dtype=np.int64)
 
-    trainers = {
-        ModelKind.DECISION_TREE: cart.fit,
-        ModelKind.RANDOM_FOREST: forest.fit,
-        ModelKind.GRADIENT_BOOSTED_TREES: boosting.fit,
-        ModelKind.K_NEAREST_NEIGHBORS: neighbors.fit,
-        ModelKind.MULTINOMIAL_NAIVE_BAYES: bayes.fit,
-        ModelKind.LINEAR_SVM: svm.fit,
-    }
-    learner = trainers[kind](matrix, y, resolved, params.seed)
+    fit, _ = _learner_kind(kind)
+    learner = fit(matrix, y, resolved, params.seed)
     return TrainedModel(
         kind=kind,
         dim=matrix.n_cols,
@@ -257,15 +277,19 @@ def train(
     )
 
 
+def _row_scores(model: TrainedModel, row) -> np.ndarray:
+    return model.learner.scores(_dense_row(row, model.dim)[np.newaxis])[0]
+
+
 def predict(model: TrainedModel, row: dict[int, float] | list[float] | np.ndarray) -> ClassLabel:
-    x = _dense_row(row, model.dim)
-    return ALL_LABELS[model.learner.predict_ordinal(x)]
+    return ALL_LABELS[int(np.argmax(_row_scores(model, row)))]
 
 
 def predict_proba(model: TrainedModel, row) -> ClassDistribution:
-    x = _dense_row(row, model.dim)
-    p = model.learner.predict_proba_vector(x)
-    return ClassDistribution(probabilities=tuple(float(v) for v in p))
+    s = _row_scores(model, row)
+    if not model.learner.probabilistic:
+        raise Unsupported(f"{type(model.learner).__name__} does not emit probabilities")
+    return ClassDistribution(probabilities=tuple(float(v) for v in s / s.sum()))
 
 
 def predict_matrix(model: TrainedModel, matrix: FeatureMatrix) -> list[ClassLabel]:
@@ -273,26 +297,13 @@ def predict_matrix(model: TrainedModel, matrix: FeatureMatrix) -> list[ClassLabe
         raise DimensionMismatch(
             f"matrix has {matrix.n_cols} columns, model expects {model.dim}"
         )
-    ordinals = model.learner.predict_batch(matrix.to_dense())
+    ordinals = np.argmax(model.learner.scores(matrix.to_dense()), axis=1)
     return [ALL_LABELS[int(o)] for o in ordinals]
 
 
 # ---------------------------------------------------------------------------
 # Persistence
 # ---------------------------------------------------------------------------
-
-def _learner_class(kind: ModelKind):
-    from . import bayes, boosting, cart, forest, neighbors, svm
-
-    return {
-        ModelKind.DECISION_TREE: cart.DecisionTreeLearner,
-        ModelKind.RANDOM_FOREST: forest.RandomForestLearner,
-        ModelKind.GRADIENT_BOOSTED_TREES: boosting.GradientBoostedTreesLearner,
-        ModelKind.K_NEAREST_NEIGHBORS: neighbors.KNearestNeighborsLearner,
-        ModelKind.MULTINOMIAL_NAIVE_BAYES: bayes.NaiveBayesLearner,
-        ModelKind.LINEAR_SVM: svm.LinearSvmLearner,
-    }[kind]
-
 
 def save_model(model: TrainedModel, path: str | Path) -> None:
     document = {
@@ -326,7 +337,7 @@ def load_model(path: str | Path) -> TrainedModel:
         classes = tuple(ClassLabel.from_name(name) for name in document["classes"])
         if classes != ALL_LABELS:
             raise KeyError("class roster mismatch")
-        learner = _learner_class(kind).from_payload(document["payload"], dim)
+        learner = _learner_kind(kind)[1].from_payload(document["payload"], dim)
         return TrainedModel(
             kind=kind,
             dim=dim,

@@ -25,21 +25,13 @@ class NaiveBayesLearner(Learner):
         self._W = np.array(log_theta, dtype=np.float64)
         self._b = np.array(log_prior, dtype=np.float64)
 
-    def _head_scores(self, x: np.ndarray) -> np.ndarray:
-        return self._W @ x + self._b
-
-    def predict_ordinal(self, x: np.ndarray) -> int:
-        scores = self._head_scores(x)
-        p = np.zeros(N_CLASSES, dtype=np.float64)
-        p[self.heads] = np.exp(scores - scores.max())
-        return int(np.argmax(p))
-
-    def predict_proba_vector(self, x: np.ndarray) -> np.ndarray:
-        scores = self._head_scores(x)
-        e = np.exp(scores - scores.max())
-        p = np.zeros(N_CLASSES, dtype=np.float64)
-        p[self.heads] = e / e.sum()
-        return p
+    def scores(self, X: np.ndarray) -> np.ndarray:
+        out = np.zeros((X.shape[0], N_CLASSES), dtype=np.float64)
+        # One mat-vec per row: a batched product may round differently.
+        for r, x in enumerate(X):
+            s = self._W @ x + self._b
+            out[r, self.heads] = np.exp(s - s.max())
+        return out
 
     def to_payload(self) -> dict:
         return {"heads": self.heads, "log_prior": self.log_prior, "log_theta": self.log_theta}

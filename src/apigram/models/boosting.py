@@ -13,13 +13,17 @@ import numpy as np
 from ..labels import N_CLASSES
 from ..vectorize import FeatureMatrix
 from .base import Learner
-from .cart import grow_regression_tree, tree_leaf, tree_regress_batch
+from .cart import grow_regression_tree, leaf_table, tree_apply
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
     shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def _tree_values(nodes: list[dict], X: np.ndarray) -> np.ndarray:
+    return leaf_table(nodes, "v")[tree_apply(nodes, X)]
 
 
 class GradientBoostedTreesLearner(Learner):
@@ -35,31 +39,14 @@ class GradientBoostedTreesLearner(Learner):
         self.learning_rate = learning_rate
         self.train_loss = train_loss
 
-    def _scores(self, x: np.ndarray) -> np.ndarray:
-        scores = np.zeros(len(self.heads), dtype=np.float64)
+    def scores(self, X: np.ndarray) -> np.ndarray:
+        head_scores = np.zeros((X.shape[0], len(self.heads)), dtype=np.float64)
         for round_trees in self.rounds:
             for i, nodes in enumerate(round_trees):
-                scores[i] += self.learning_rate * tree_leaf(nodes, x)["v"]
-        return scores
-
-    def _expand(self, head_probs: np.ndarray) -> np.ndarray:
-        p = np.zeros(N_CLASSES, dtype=np.float64)
-        p[self.heads] = head_probs
-        return p
-
-    def predict_ordinal(self, x: np.ndarray) -> int:
-        return int(np.argmax(self._expand(_softmax(self._scores(x)))))
-
-    def predict_proba_vector(self, x: np.ndarray) -> np.ndarray:
-        return self._expand(_softmax(self._scores(x)))
-
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        scores = np.zeros((X.shape[0], len(self.heads)), dtype=np.float64)
-        for round_trees in self.rounds:
-            for i, nodes in enumerate(round_trees):
-                scores[:, i] += self.learning_rate * tree_regress_batch(nodes, X)
-        winners = np.argmax(_softmax(scores), axis=1)
-        return np.array([self.heads[i] for i in winners], dtype=np.int64)
+                head_scores[:, i] += self.learning_rate * _tree_values(nodes, X)
+        out = np.zeros((X.shape[0], N_CLASSES), dtype=np.float64)
+        out[:, self.heads] = _softmax(head_scores)
+        return out
 
     def to_payload(self) -> dict:
         return {
@@ -112,7 +99,7 @@ def fit(
             nodes = grow_regression_tree(X, g, h, depth, min_leaf, lam)
             round_trees.append(nodes)
         for i, nodes in enumerate(round_trees):
-            F[:, i] += lr * tree_regress_batch(nodes, X)
+            F[:, i] += lr * _tree_values(nodes, X)
         rounds.append(round_trees)
         train_loss.append(loss())
     return GradientBoostedTreesLearner(

@@ -15,7 +15,7 @@ import numpy as np
 from ..labels import N_CLASSES
 from ..vectorize import FeatureMatrix
 from .base import Learner
-from .cart import grow_classification_tree, tree_counts_batch, tree_leaf
+from .cart import grow_classification_tree, leaf_table, tree_apply
 
 
 def _resolve_mtry(max_features: object, n_features: int) -> int | None:
@@ -32,24 +32,13 @@ class RandomForestLearner(Learner):
     def __init__(self, trees: list[list[dict]]):
         self.trees = trees
 
-    def _votes(self, x: np.ndarray) -> np.ndarray:
-        votes = np.zeros(N_CLASSES, dtype=np.int64)
+    def scores(self, X: np.ndarray) -> np.ndarray:
+        votes = np.zeros((X.shape[0], N_CLASSES), dtype=np.float64)
+        rows = np.arange(X.shape[0])
         for nodes in self.trees:
-            votes[int(np.argmax(tree_leaf(nodes, x)["c"]))] += 1
+            winners = np.argmax(leaf_table(nodes, "c"), axis=1)
+            votes[rows, winners[tree_apply(nodes, X)]] += 1
         return votes
-
-    def predict_ordinal(self, x: np.ndarray) -> int:
-        return int(np.argmax(self._votes(x)))
-
-    def predict_proba_vector(self, x: np.ndarray) -> np.ndarray:
-        return self._votes(x).astype(np.float64) / len(self.trees)
-
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        votes = np.zeros((X.shape[0], N_CLASSES), dtype=np.int64)
-        for nodes in self.trees:
-            winners = np.argmax(tree_counts_batch(nodes, X), axis=1)
-            votes[np.arange(X.shape[0]), winners] += 1
-        return np.argmax(votes, axis=1)
 
     def to_payload(self) -> dict:
         return {"trees": self.trees}

@@ -29,23 +29,17 @@ class KNearestNeighborsLearner(Learner):
         self._unit = dense / norms[:, np.newaxis]
         self._y = np.array(labels, dtype=np.int64)
 
-    def _neighbor_votes(self, x: np.ndarray) -> np.ndarray:
-        norm = float(np.sqrt((x ** 2).sum()))
-        xu = x / norm if norm > 0.0 else x
-        distances = 1.0 - self._unit @ xu
-        k = min(self.k, distances.size)
-        nearest = np.argsort(distances, kind="stable")[:k]
-        votes = np.zeros(N_CLASSES, dtype=np.int64)
-        for i in nearest:
-            votes[self._y[i]] += 1
+    def scores(self, X: np.ndarray) -> np.ndarray:
+        votes = np.zeros((X.shape[0], N_CLASSES), dtype=np.float64)
+        k = min(self.k, self._y.size)
+        # One mat-vec per row: a batched product may round differently.
+        for r, x in enumerate(X):
+            norm = float(np.sqrt((x ** 2).sum()))
+            xu = x / norm if norm > 0.0 else x
+            distances = 1.0 - self._unit @ xu
+            nearest = np.argsort(distances, kind="stable")[:k]
+            votes[r] = np.bincount(self._y[nearest], minlength=N_CLASSES)
         return votes
-
-    def predict_ordinal(self, x: np.ndarray) -> int:
-        return int(np.argmax(self._neighbor_votes(x)))
-
-    def predict_proba_vector(self, x: np.ndarray) -> np.ndarray:
-        votes = self._neighbor_votes(x)
-        return votes.astype(np.float64) / votes.sum()
 
     def to_payload(self) -> dict:
         return {"rows": self.rows, "labels": self.labels, "k": self.k, "dim": self.dim}

@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..labels import N_CLASSES
 from ..vectorize import FeatureMatrix
 from .base import Learner
 
 
 class LinearSvmLearner(Learner):
+    probabilistic = False
+
     def __init__(self, heads: list[int], weights: list[list[float]], bias: list[float]):
         self.heads = heads
         self.weights = weights
@@ -21,9 +24,12 @@ class LinearSvmLearner(Learner):
         self._W = np.array(weights, dtype=np.float64)
         self._b = np.array(bias, dtype=np.float64)
 
-    def predict_ordinal(self, x: np.ndarray) -> int:
-        margins = self._W @ x + self._b
-        return self.heads[int(np.argmax(margins))]
+    def scores(self, X: np.ndarray) -> np.ndarray:
+        margins = np.full((X.shape[0], N_CLASSES), -np.inf)
+        # One mat-vec per row: a batched product may round differently.
+        for r, x in enumerate(X):
+            margins[r, self.heads] = self._W @ x + self._b
+        return margins
 
     def to_payload(self) -> dict:
         return {"heads": self.heads, "weights": self.weights, "bias": self.bias}

@@ -17,6 +17,7 @@ from apigram.errors import (
     VersionMismatch,
 )
 from apigram.labels import ALL_LABELS, ClassLabel
+from apigram.models import cart
 from apigram.models import (
     ClassDistribution,
     HyperParams,
@@ -136,6 +137,14 @@ def test_hyperparams_reject_unknown_keys_and_bad_ranges():
         (ModelKind.MULTINOMIAL_NAIVE_BAYES, {"alpha": 0.0}),
         (ModelKind.LINEAR_SVM, {"epochs": 0}),
         (ModelKind.LINEAR_SVM, {"reg_lambda": 0.0}),
+        (ModelKind.GRADIENT_BOOSTED_TREES, {"learning_rate": "abc"}),
+        (ModelKind.GRADIENT_BOOSTED_TREES, {"reg_lambda": float("inf")}),
+        (ModelKind.RANDOM_FOREST, {"max_features": True}),
+        (ModelKind.RANDOM_FOREST, {"bootstrap": "maybe"}),
+        (ModelKind.RANDOM_FOREST, {"n_trees": False}),
+        (ModelKind.K_NEAREST_NEIGHBORS, {"k": 2.7}),
+        (ModelKind.DECISION_TREE, {"max_depth": 2.5}),
+        (ModelKind.MULTINOMIAL_NAIVE_BAYES, {"alpha": "1.0"}),
     ]
     for kind, values in bad:
         with pytest.raises(ConfigError):
@@ -210,6 +219,65 @@ def test_depth_one_tree_has_a_single_split():
     )
     internal = [n for n in model.learner.nodes if "f" in n]
     assert len(internal) == 1
+
+
+# ---------------------------------------------------------------------------
+# Split engine
+# ---------------------------------------------------------------------------
+
+def _brute_force_split(X, idx, features, min_leaf, rate):
+    """Every (feature, boundary) pair in pure Python, features and then
+    thresholds ascending; only a strictly greater score replaces the best."""
+    best = None
+    for j in features:
+        values = sorted({float(X[i, j]) for i in idx})
+        for lo, hi in zip(values, values[1:]):
+            left = [i for i in idx if X[i, j] <= lo]
+            right = [i for i in idx if X[i, j] > lo]
+            if min(len(left), len(right)) < min_leaf:
+                continue
+            score = rate(left, right)
+            if best is None or score > best[0]:
+                best = (score, int(j), (lo + hi) / 2.0)
+    return best
+
+
+@pytest.mark.parametrize("block_elements", [None, 1, 40])
+def test_split_search_matches_brute_force_enumeration(monkeypatch, block_elements):
+    if block_elements is not None:
+        monkeypatch.setattr(cart, "_BLOCK_ELEMENTS", block_elements)
+    rng = np.random.default_rng(191)
+    lam = 1.0
+    for _ in range(60):
+        n = int(rng.integers(2, 14))
+        X = rng.integers(0, 3, size=(n, 6)).astype(float)
+        X[:, 4] = X[:, 1]  # an exact tie across features
+        y = rng.integers(0, 3, size=n)
+        # Dyadic statistics keep every sum exact in any order.
+        g = rng.integers(-4, 5, size=n) / 4.0
+        h = rng.integers(0, 3, size=n) / 8.0
+        idx = rng.permutation(n)[: int(rng.integers(2, n + 1))]
+        features = np.flatnonzero(rng.random(6) < 0.7)
+        min_leaf = int(rng.integers(1, 4))
+
+        def gini(left, right):
+            def part(rows):
+                return sum(c * c for c in np.bincount(y[rows], minlength=8).tolist()) / len(rows)
+            return part(left) + part(right)
+
+        def newton(left, right):
+            gl, hl = sum(g[left]), sum(h[left])
+            gr, hr = sum(g[right]), sum(h[right])
+            return gl ** 2 / (hl + lam) + gr ** 2 / (hr + lam)
+
+        onehot = np.eye(8, dtype=np.int64)[y]
+        gh = np.column_stack((g, h))
+        for stats, score, rate in (
+            (onehot, cart._gini_score, gini),
+            (gh, lambda cum: cart._newton_score(cum, lam), newton),
+        ):
+            got = cart._best_split(X, stats, idx, features, min_leaf, score)
+            assert got == _brute_force_split(X, idx, features, min_leaf, rate)
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +498,12 @@ def test_batch_prediction_matches_per_row_prediction():
         batch = predict_matrix(model, query_matrix)
         single = [predict(model, row) for row in query_matrix.rows]
         assert batch == single, kind
+        for row, label in zip(query_matrix.rows, single):
+            if kind is ModelKind.LINEAR_SVM:
+                with pytest.raises(Unsupported):
+                    predict_proba(model, row)
+            else:
+                assert predict_proba(model, row).argmax() is label, kind
 
 
 def test_prediction_rejects_out_of_range_indices_and_widths():
