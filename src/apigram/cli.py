@@ -186,18 +186,13 @@ def _read_split(cfg: PipelineConfig) -> tuple[list[int], list[int]]:
     return train_rows, test_rows
 
 
-def _load_feature_set(cfg: PipelineConfig):
-    suffix = str(cfg["ngram.active"])
-    workdir = cfg.workdir
-    labels_path = _require(workdir / f"labels_{suffix}.csv", "featurize")
-    tfidf = read_matrix(_require(workdir / f"tfidf_{suffix}.csv", "featurize"), labels_path)
-    freq = read_matrix(_require(workdir / f"freq_{suffix}.csv", "featurize"), labels_path)
-    vocabulary = read_vocabulary(_require(workdir / f"vocab_{suffix}.csv", "featurize"))
-    return tfidf, freq, vocabulary
+def _feature_file(cfg: PipelineConfig, prefix: str) -> Path:
+    """The active feature set's ``<prefix>_<suffix>.csv`` artifact."""
+    return _require(cfg.workdir / f"{prefix}_{cfg['ngram.active']}.csv", "featurize")
 
 
 def _masked_tfidf(cfg: PipelineConfig) -> FeatureMatrix:
-    tfidf, _, _ = _load_feature_set(cfg)
+    tfidf = read_matrix(_feature_file(cfg, "tfidf"), _feature_file(cfg, "labels"))
     if not cfg["selection.enabled"]:
         return tfidf
     mask = read_mask(_require(cfg.workdir / "selection_mask.csv", "select"))
@@ -262,7 +257,10 @@ def cmd_featurize(cfg: PipelineConfig) -> None:
 
 
 def cmd_select(cfg: PipelineConfig) -> None:
-    tfidf, freq, vocabulary = _load_feature_set(cfg)
+    labels_path = _feature_file(cfg, "labels")
+    tfidf = read_matrix(_feature_file(cfg, "tfidf"), labels_path)
+    freq = read_matrix(_feature_file(cfg, "freq"), labels_path)
+    vocabulary = read_vocabulary(_feature_file(cfg, "vocab"))
     train_rows, _ = _read_split(cfg)
     if not cfg["selection.on_all"]:
         tfidf = tfidf.select_rows(train_rows)

@@ -150,6 +150,11 @@ def parse_report(raw: bytes | str, label: ClassLabel, sample_id: str) -> Behavio
         document = json.loads(raw)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MalformedJson(f"{sample_id}: undecodable report JSON: {exc}") from exc
+    return _report_from_document(document, label, sample_id)
+
+
+def _report_from_document(document, label: ClassLabel, sample_id: str) -> BehaviorReport:
+    """The report of one decoded JSON document; raises as ``parse_report``."""
     if not isinstance(document, dict):
         raise MissingBehaviorSection(f"{sample_id}: report is not a JSON object")
 
@@ -240,7 +245,7 @@ def report_from_json_line(line: str) -> BehaviorReport:
     except (json.JSONDecodeError, KeyError, ValueError) as exc:
         raise MalformedJson(f"bad normalized report line: {exc}") from exc
     try:
-        return parse_report(line, label, sample_id)
+        return _report_from_document(document, label, sample_id)
     except EmptyTrace as exc:
         return exc.report
 

@@ -31,10 +31,6 @@ class ClassLabel(Enum):
         except KeyError:
             raise ValueError(f"unknown class label: {name!r}") from None
 
-    @classmethod
-    def from_ordinal(cls, ordinal: int) -> "ClassLabel":
-        return ALL_LABELS[ordinal]
-
     def __str__(self) -> str:
         return self.value
 

@@ -253,12 +253,10 @@ def train(
         raise DegenerateData("training needs at least one row and one feature")
     if len({label.ordinal for label in labels}) < 2:
         raise DegenerateData("training needs at least two distinct classes")
-    for i, row in enumerate(matrix.rows):
-        for j, w in row.items():
-            if not math.isfinite(w):
-                raise NonFiniteInput(f"non-finite weight at row {i}, col {j}")
-            if j < 0 or j >= matrix.n_cols:
-                raise DimensionMismatch(f"row {i} index {j} outside [0, {matrix.n_cols})")
+    bad = np.flatnonzero(~np.isfinite(matrix.data))
+    if bad.size:
+        i, j = matrix.entry_rows()[bad[0]], matrix.indices[bad[0]]
+        raise NonFiniteInput(f"non-finite weight at row {i}, col {j}")
 
     params = params or HyperParams()
     resolved = params.resolve(kind)

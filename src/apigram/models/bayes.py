@@ -49,23 +49,23 @@ def fit(matrix: FeatureMatrix, y: np.ndarray, params: dict, seed: int) -> NaiveB
     alpha = float(params["alpha"])
     v = matrix.n_cols
     heads = sorted(int(c) for c in np.unique(y))
-    head_of = {c: i for i, c in enumerate(heads)}
+    if np.any(matrix.data < 0.0):
+        raise DegenerateData("naive Bayes requires nonnegative feature weights")
 
-    per_class_weights: list[list[list[float]]] = [[[] for _ in range(v)] for _ in heads]
-    class_counts = [0] * len(heads)
-    for i, row in enumerate(matrix.rows):
-        head = head_of[int(y[i])]
-        class_counts[head] += 1
-        for j, w in row.items():
-            if w < 0.0:
-                raise DegenerateData("naive Bayes requires nonnegative feature weights")
-            per_class_weights[head][j].append(w)
+    # Group the stored weights by (class head, column); each group is
+    # summed exactly, so the totals do not depend on the row order.
+    head_of_row = np.searchsorted(heads, y)
+    cells = head_of_row[matrix.entry_rows()] * v + matrix.indices
+    order = np.argsort(cells)
+    cells, weights = cells[order], matrix.data[order]
+    starts = np.flatnonzero(np.diff(cells, prepend=-1))
+    totals = np.zeros((len(heads), v), dtype=np.float64)
+    groups = np.split(weights, starts)[1:]  # the piece before the first start is empty
+    totals.flat[cells[starts]] = [math.fsum(group) for group in groups]
 
-    n = matrix.n_rows
-    log_prior = [math.log(count / n) for count in class_counts]
+    log_prior = [math.log(count / matrix.n_rows) for count in np.bincount(head_of_row).tolist()]
     log_theta: list[list[float]] = []
-    for head in range(len(heads)):
-        totals = [math.fsum(per_class_weights[head][j]) for j in range(v)]
-        denom = math.fsum(totals) + alpha * v
-        log_theta.append([math.log((t + alpha) / denom) for t in totals])
+    for head_totals in totals.tolist():
+        denom = math.fsum(head_totals) + alpha * v
+        log_theta.append([math.log((t + alpha) / denom) for t in head_totals])
     return NaiveBayesLearner(heads=heads, log_prior=log_prior, log_theta=log_theta)

@@ -55,10 +55,8 @@ class KNearestNeighborsLearner(Learner):
 
 
 def fit(matrix: FeatureMatrix, y: np.ndarray, params: dict, seed: int) -> KNearestNeighborsLearner:
-    rows = [
-        [[j, row[j]] for j in sorted(row)]
-        for row in matrix.rows
-    ]
+    pairs = [list(pair) for pair in zip(matrix.indices.tolist(), matrix.data.tolist())]
+    rows = [pairs[a:b] for a, b in zip(matrix.indptr[:-1].tolist(), matrix.indptr[1:].tolist())]
     return KNearestNeighborsLearner(
         rows=rows,
         labels=[int(c) for c in y],

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -141,11 +141,7 @@ def lexical_filter(vocabulary: Vocabulary, rules: frozenset[str] | set[str]) -> 
 # ---------------------------------------------------------------------------
 
 def _column_df(matrix: FeatureMatrix) -> np.ndarray:
-    df = np.zeros(matrix.n_cols, dtype=np.int64)
-    for row in matrix.rows:
-        for j in row:
-            df[j] += 1
-    return df
+    return np.bincount(matrix.indices, minlength=matrix.n_cols)
 
 
 def frequency_filter(
@@ -179,15 +175,10 @@ def frequency_filter(
 
 def _presence_class_counts(matrix: FeatureMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Per-column presence counts broken out by class, plus class sizes."""
-    counts = np.zeros((matrix.n_cols, N_CLASSES), dtype=np.int64)
-    class_sizes = np.zeros(N_CLASSES, dtype=np.int64)
-    for i, row in enumerate(matrix.rows):
-        c = matrix.labels[i].ordinal
-        class_sizes[c] += 1
-        for j, weight in row.items():
-            if weight != 0.0:
-                counts[j, c] += 1
-    return counts, class_sizes
+    y = np.array([label.ordinal for label in matrix.labels], dtype=np.int64)
+    cells = matrix.indices * N_CLASSES + y[matrix.entry_rows()]
+    counts = np.bincount(cells, minlength=matrix.n_cols * N_CLASSES)
+    return counts.reshape(matrix.n_cols, N_CLASSES), np.bincount(y, minlength=N_CLASSES)
 
 
 def mutual_information_all(matrix: FeatureMatrix) -> np.ndarray:
@@ -218,12 +209,7 @@ def mutual_information_all(matrix: FeatureMatrix) -> np.ndarray:
 def mutual_information(matrix: FeatureMatrix, labels: list[ClassLabel], feature: int) -> float:
     """MI of one column; ``labels`` must match the matrix rows."""
     if tuple(labels) != matrix.labels:
-        matrix = FeatureMatrix(
-            rows=matrix.rows,
-            n_cols=matrix.n_cols,
-            sample_ids=matrix.sample_ids,
-            labels=tuple(labels),
-        )
+        matrix = replace(matrix, labels=tuple(labels))
     return float(mutual_information_all(matrix)[feature])
 
 
@@ -269,10 +255,12 @@ def correlation_prune(
     thr = min(threshold, 1.0)
     duplicates_only = thr >= 1.0
     order = sorted(candidates.kept, key=lambda j: (-candidates.scores.get(j, 0.0), j))
-    columns: dict[int, np.ndarray] = {}
+    # One contiguous array per candidate column, in candidates.kept order.
+    values = np.ascontiguousarray(matrix.apply_mask(candidates.kept).to_dense().T)
+    columns = dict(zip(candidates.kept, values))
     kept_order: list[int] = []
     for j in order:
-        col = matrix.column_values(j)
+        col = columns[j]
         redundant = False
         for k in kept_order:
             r = _pearson(col, columns[k])
@@ -281,7 +269,6 @@ def correlation_prune(
                 break
         if not redundant:
             kept_order.append(j)
-            columns[j] = col
     if not kept_order:
         raise AllFeaturesRemoved("correlation pruning removed every feature")
     chosen = tuple(sorted(kept_order))

@@ -172,14 +172,6 @@ class Vocabulary:
     def index_of(self, term: str) -> int | None:
         return self._index.get(term)
 
-    def subset(self, kept_indices: list[int]) -> "Vocabulary":
-        """Vocabulary restricted to the given column indices (order kept)."""
-        return Vocabulary(
-            terms=tuple(self.terms[i] for i in kept_indices),
-            df=tuple(self.df[i] for i in kept_indices),
-            n_docs=self.n_docs,
-        )
-
 
 def build_vocabulary(documents: list[TokenDocument]) -> Vocabulary:
     """Collect every term that occurs in the corpus, with its df."""

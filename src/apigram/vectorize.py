@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,9 @@ import numpy as np
 from .errors import DimensionMismatch, EmptyCorpus, EmptyDocument, IoFailure, ZeroDf
 from .labels import ClassLabel
 from .tokens import TokenDocument, Vocabulary
+
+# One stored entry of a matrix, before it is ordered into CSR form.
+_ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("weight", np.float64)])
 
 
 def tf(count: int, doc_total: int) -> float:
@@ -44,79 +49,122 @@ def tfidf(count: int, doc_total: int, df: int, n_docs: int) -> float:
     return tf(count, doc_total) * idf(df, n_docs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureMatrix:
-    """Row-sparse matrix with per-row sample identity and class label.
+    """Compressed sparse row (CSR) matrix with per-row sample identity and class label.
 
-    ``rows[i]`` maps column index to a nonzero weight; columns follow the
-    vocabulary's term order. ``normalized`` records whether rows were
-    scaled to unit Euclidean norm.
+    Row ``i`` stores its entries at positions ``indptr[i]:indptr[i + 1]`` of
+    ``indices`` (column numbers, strictly increasing within the row and
+    following the vocabulary's term order) and ``data`` (the weights, all
+    nonzero).
     """
 
-    rows: tuple[dict[int, float], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
     n_cols: int
     sample_ids: tuple[str, ...]
     labels: tuple[ClassLabel, ...]
-    normalized: bool = False
 
     def __post_init__(self) -> None:
-        if not (len(self.rows) == len(self.sample_ids) == len(self.labels)):
+        for name, dtype in (("indptr", np.int64), ("indices", np.int64), ("data", np.float64)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        indptr, indices = self.indptr, self.indices
+        if not (indptr.size - 1 == len(self.sample_ids) == len(self.labels)):
             raise DimensionMismatch("rows, sample_ids and labels must align")
+        if indptr[0] != 0 or np.any(np.diff(indptr) < 0) or not indptr[-1] == indices.size == self.data.size:
+            raise DimensionMismatch("indptr must rise monotonically from 0 to the entry count")
+        if self.n_cols < 0 or (indices.size and (indices.min() < 0 or indices.max() >= self.n_cols)):
+            raise DimensionMismatch(f"column index outside [0, {self.n_cols})")
+        if np.any((np.diff(indices) <= 0) & (np.diff(self.entry_rows()) == 0)):
+            raise DimensionMismatch("column indices must strictly increase within each row")
+        if np.any(self.data == 0.0):
+            raise DimensionMismatch("zero weights must not be stored")
+
+    @classmethod
+    def from_rows(
+        cls,
+        rows: Sequence[Mapping[int, float]],
+        n_cols: int,
+        sample_ids: Sequence[str],
+        labels: Sequence[ClassLabel],
+    ) -> "FeatureMatrix":
+        """Matrix from one ``{column: weight}`` dict per row; zero weights are dropped."""
+        entries = np.fromiter(((i, j, w) for i, row in enumerate(rows) for j, w in row.items()), _ENTRY)
+        return _from_entries(entries, len(rows), n_cols, sample_ids, labels)
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return self.indptr.size - 1
+
+    def entry_rows(self) -> np.ndarray:
+        """Row number of every stored entry."""
+        return np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.n_rows, self.n_cols), dtype=np.float64)
-        for i, row in enumerate(self.rows):
-            for j, weight in row.items():
-                dense[i, j] = weight
+        dense[self.entry_rows(), self.indices] = self.data
         return dense
 
-    def labels_array(self) -> np.ndarray:
-        return np.array([label.ordinal for label in self.labels], dtype=np.int64)
-
-    def column_values(self, col: int) -> np.ndarray:
-        values = np.zeros(self.n_rows, dtype=np.float64)
-        for i, row in enumerate(self.rows):
-            if col in row:
-                values[i] = row[col]
-        return values
-
-    def select_rows(self, indices: list[int]) -> "FeatureMatrix":
-        return FeatureMatrix(
-            rows=tuple(dict(self.rows[i]) for i in indices),
-            n_cols=self.n_cols,
-            sample_ids=tuple(self.sample_ids[i] for i in indices),
-            labels=tuple(self.labels[i] for i in indices),
-            normalized=self.normalized,
+    def select_rows(self, rows: list[int]) -> "FeatureMatrix":
+        picked = np.asarray(rows, dtype=np.int64)
+        starts = self.indptr[picked]
+        lengths = self.indptr[picked + 1] - starts
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        take = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lengths)
+        return replace(
+            self,
+            indptr=indptr,
+            indices=self.indices[take],
+            data=self.data[take],
+            sample_ids=tuple(self.sample_ids[i] for i in rows),
+            labels=tuple(self.labels[i] for i in rows),
         )
 
     def apply_mask(self, kept_columns: list[int] | tuple[int, ...]) -> "FeatureMatrix":
-        """Keep only the given columns, renumbering them to 0..k-1.
+        """Keep only the given (strictly increasing) columns, renumbering
+        them to 0..k-1.
 
         Weights are carried over unchanged.
         """
-        remap = {old: new for new, old in enumerate(kept_columns)}
-        new_rows = tuple(
-            {remap[j]: w for j, w in row.items() if j in remap}
-            for row in self.rows
-        )
-        return FeatureMatrix(
-            rows=new_rows,
-            n_cols=len(kept_columns),
-            sample_ids=self.sample_ids,
-            labels=self.labels,
-            normalized=False,
-        )
+        kept = np.asarray(kept_columns, dtype=np.int64)
+        if np.any(np.diff(kept) <= 0) or (kept.size and (kept[0] < 0 or kept[-1] >= self.n_cols)):
+            raise DimensionMismatch(f"kept columns must strictly increase within [0, {self.n_cols})")
+        renumber = np.full(self.n_cols, -1, dtype=np.int64)
+        renumber[kept] = np.arange(kept.size)
+        new_indices = renumber[self.indices]
+        return self._keep_entries(new_indices >= 0, new_indices, self.data, kept.size)
+
+    def _keep_entries(self, keep, indices, data, n_cols: int) -> "FeatureMatrix":
+        """Same rows, holding ``indices`` and ``data`` at the entries where ``keep`` is set."""
+        indptr = np.concatenate(([0], np.cumsum(keep)))[self.indptr]
+        return replace(self, indptr=indptr, indices=indices[keep], data=data[keep], n_cols=n_cols)
 
 
-def _l2_normalize(row: dict[int, float]) -> dict[int, float]:
-    norm = math.sqrt(math.fsum(w * w for w in row.values()))
-    if norm == 0.0:
-        return row
-    return {j: w / norm for j, w in row.items()}
+def _from_entries(
+    entries: np.ndarray, n_rows: int, n_cols: int, sample_ids: Sequence[str], labels: Sequence[ClassLabel]
+) -> FeatureMatrix:
+    """Matrix of the nonzero ``_ENTRY`` records, given in any order."""
+    rows, cols, weights = entries["row"], entries["col"], entries["weight"]
+    if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
+        raise DimensionMismatch(f"row index outside [0, {n_rows})")
+    order = np.lexsort((cols, rows))
+    order = order[weights[order] != 0.0]
+    return FeatureMatrix(
+        indptr=np.concatenate(([0], np.cumsum(np.bincount(rows[order], minlength=n_rows)))),
+        indices=cols[order],
+        data=weights[order],
+        n_cols=n_cols,
+        sample_ids=tuple(sample_ids),
+        labels=tuple(labels),
+    )
+
+
+def _l2_normalize(matrix: FeatureMatrix) -> FeatureMatrix:
+    rows = np.split(matrix.data, matrix.indptr[1:-1])
+    norms = np.array([math.sqrt(math.fsum(row * row)) for row in rows])
+    norms[norms == 0.0] = 1.0
+    return replace(matrix, data=matrix.data / np.repeat(norms, np.diff(matrix.indptr)))
 
 
 def tfidf_matrix(
@@ -130,28 +178,12 @@ def tfidf_matrix(
     document's occurrence total. Documents with zero occurrences become
     all-zero rows.
     """
-    if not documents:
-        raise EmptyCorpus("cannot vectorize zero documents")
-    idf_by_col = [idf(df, vocabulary.n_docs) for df in vocabulary.df]
-    rows = []
-    for doc in documents:
-        row: dict[int, float] = {}
-        if doc.total > 0:
-            for term, count in doc.counts.items():
-                col = vocabulary.index_of(term)
-                if col is None:
-                    continue
-                weight = (count / doc.total) * idf_by_col[col]
-                if weight != 0.0:
-                    row[col] = weight
-        rows.append(_l2_normalize(row) if l2 else row)
-    return FeatureMatrix(
-        rows=tuple(rows),
-        n_cols=len(vocabulary),
-        sample_ids=tuple(d.sample_id for d in documents),
-        labels=tuple(d.label for d in documents),
-        normalized=l2,
-    )
+    counts = frequency_matrix(documents, vocabulary)
+    idf_by_col = np.array([idf(df, vocabulary.n_docs) for df in vocabulary.df], dtype=np.float64)
+    totals = np.array([doc.total for doc in documents], dtype=np.float64)
+    weights = (counts.data / totals[counts.entry_rows()]) * idf_by_col[counts.indices]
+    matrix = counts._keep_entries(weights != 0.0, counts.indices, weights, counts.n_cols)
+    return _l2_normalize(matrix) if l2 else matrix
 
 
 def frequency_matrix(
@@ -161,20 +193,17 @@ def frequency_matrix(
     """Raw per-document occurrence counts over the vocabulary."""
     if not documents:
         raise EmptyCorpus("cannot vectorize zero documents")
-    rows = []
-    for doc in documents:
-        row: dict[int, float] = {}
-        for term, count in doc.counts.items():
-            col = vocabulary.index_of(term)
-            if col is not None and count > 0:
-                row[col] = float(count)
-        rows.append(row)
-    return FeatureMatrix(
-        rows=tuple(rows),
-        n_cols=len(vocabulary),
-        sample_ids=tuple(d.sample_id for d in documents),
-        labels=tuple(d.label for d in documents),
+    entries = np.fromiter(
+        (
+            (i, col, count)
+            for i, doc in enumerate(documents)
+            for term, count in doc.counts.items()
+            if (col := vocabulary.index_of(term)) is not None
+        ),
+        _ENTRY,
     )
+    ids, labels = [d.sample_id for d in documents], [d.label for d in documents]
+    return _from_entries(entries, len(documents), len(vocabulary), ids, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +215,10 @@ def write_matrix(path: str | Path, matrix: FeatureMatrix) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["row", "col", "weight"])
         writer.writerow(["#shape", matrix.n_rows, matrix.n_cols])
-        for i, row in enumerate(matrix.rows):
-            for j in sorted(row):
-                writer.writerow([i, j, format(row[j], ".17g")])
+        bounds = matrix.indptr.tolist()
+        for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            weights = [format(w, ".17g") for w in matrix.data[a:b].tolist()]
+            writer.writerows(zip(repeat(i), matrix.indices[a:b].tolist(), weights))
 
 
 def write_labels(path: str | Path, matrix: FeatureMatrix) -> None:
@@ -200,29 +230,27 @@ def write_labels(path: str | Path, matrix: FeatureMatrix) -> None:
 
 
 def read_matrix(path: str | Path, labels_path: str | Path) -> FeatureMatrix:
+    """Read a matrix and its labels; zero weights are dropped, and entries
+    outside ``#shape`` or stored twice are rejected."""
     try:
         with open(labels_path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            pairs = [(row["sample_id"], ClassLabel.from_name(row["label"])) for row in reader]
+            pairs = [(row["sample_id"], ClassLabel.from_name(row["label"])) for row in csv.DictReader(fh)]
         with open(path, newline="", encoding="utf-8") as fh:
-            reader2 = csv.reader(fh)
-            header = next(reader2)
+            reader = csv.reader(fh)
+            header = next(reader)
             if header != ["row", "col", "weight"]:
                 raise ValueError(f"unexpected header {header!r}")
-            shape_row = next(reader2)
+            shape_row = next(reader)
             if shape_row[0] != "#shape":
                 raise ValueError("missing shape row")
             n_rows, n_cols = int(shape_row[1]), int(shape_row[2])
-            rows: list[dict[int, float]] = [dict() for _ in range(n_rows)]
-            for row in reader2:
-                rows[int(row[0])][int(row[1])] = float(row[2])
-    except (OSError, KeyError, ValueError, IndexError, StopIteration) as exc:
+            entries = np.fromiter(((int(i), int(j), float(w)) for i, j, w in reader), _ENTRY)
+    except (OSError, KeyError, ValueError, IndexError, OverflowError, StopIteration) as exc:
         raise IoFailure(f"cannot read matrix {path}: {exc}") from exc
     if len(pairs) != n_rows:
         raise IoFailure(f"label file {labels_path} does not match matrix shape")
-    return FeatureMatrix(
-        rows=tuple(rows),
-        n_cols=n_cols,
-        sample_ids=tuple(sid for sid, _ in pairs),
-        labels=tuple(label for _, label in pairs),
-    )
+    sample_ids, labels = [sid for sid, _ in pairs], [label for _, label in pairs]
+    try:
+        return _from_entries(entries, n_rows, n_cols, sample_ids, labels)
+    except DimensionMismatch as exc:
+        raise IoFailure(f"matrix {path} does not fit its shape: {exc}") from exc

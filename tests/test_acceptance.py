@@ -63,7 +63,7 @@ def _doc(sample_id, counts, label=ClassLabel.BENIGN):
 def _matrix(dense, labels):
     dense = np.asarray(dense, dtype=float)
     rows = tuple({j: float(v) for j, v in enumerate(r) if v != 0.0} for r in dense)
-    return FeatureMatrix(
+    return FeatureMatrix.from_rows(
         rows=rows,
         n_cols=dense.shape[1],
         sample_ids=tuple(f"s{i}" for i in range(dense.shape[0])),
@@ -115,7 +115,7 @@ def test_criterion_1_worked_example(capsys):
         assert idf(1, 2) == pytest.approx(0.30103, abs=1e-4)
         vocabulary = build_vocabulary([doc_a, doc_b])
         matrix = tfidf_matrix([doc_a, doc_b], vocabulary)
-        coordinate = matrix.rows[0][vocabulary.index_of("sample")]
+        coordinate = matrix.to_dense()[0, vocabulary.index_of("sample")]
         assert coordinate == pytest.approx(0.0602, abs=1e-4)
 
 
@@ -138,6 +138,7 @@ def _dense_tfidf_oracle(docs, vocabulary):
 
 def _mi_oracle(matrix):
     n = matrix.n_rows
+    dense = matrix.to_dense()
     out = []
     for j in range(matrix.n_cols):
         terms = []
@@ -146,13 +147,13 @@ def _mi_oracle(matrix):
                 joint = sum(
                     1
                     for i in range(n)
-                    if (matrix.rows[i].get(j, 0.0) != 0.0) == present
+                    if (dense[i, j] != 0.0) == present
                     and matrix.labels[i] is label
                 ) / n
                 p_x = sum(
                     1
                     for i in range(n)
-                    if (matrix.rows[i].get(j, 0.0) != 0.0) == present
+                    if (dense[i, j] != 0.0) == present
                 ) / n
                 p_y = sum(1 for i in range(n) if matrix.labels[i] is label) / n
                 if joint > 0.0:
@@ -304,9 +305,9 @@ def _random_l2_case(rng):
         } or {terms[0]: 1}
         docs.append(_doc(f"d{i}", counts, ALL_LABELS[i % 8]))
     matrix = tfidf_matrix(docs, build_vocabulary(docs), l2=True)
-    for row in matrix.rows:
-        if row:
-            norm = math.sqrt(math.fsum(w * w for w in row.values()))
+    for row in matrix.to_dense():
+        if row.any():
+            norm = math.sqrt(math.fsum(w * w for w in row))
             assert norm == pytest.approx(1.0, abs=1e-9)
 
 

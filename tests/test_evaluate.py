@@ -219,7 +219,7 @@ def test_metric_identities_hold_on_random_confusions():
 def _toy_model_and_test():
     dense = [[1.0, 0.0]] * 4 + [[0.0, 1.0]] * 4
     labels = [ClassLabel.TROJAN] * 4 + [ClassLabel.BENIGN] * 4
-    matrix = FeatureMatrix(
+    matrix = FeatureMatrix.from_rows(
         rows=tuple({j: v for j, v in enumerate(r) if v} for r in dense),
         n_cols=2,
         sample_ids=tuple(f"s{i}" for i in range(8)),
@@ -239,7 +239,7 @@ def test_evaluate_counts_true_versus_predicted():
 
 def test_evaluate_rejects_an_empty_test_set():
     model, _ = _toy_model_and_test()
-    empty = FeatureMatrix(rows=(), n_cols=2, sample_ids=(), labels=())
+    empty = FeatureMatrix.from_rows(rows=(), n_cols=2, sample_ids=(), labels=())
     with pytest.raises(EmptyTestSet):
         evaluate(model, empty)
 

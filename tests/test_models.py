@@ -49,7 +49,7 @@ def _matrix(dense, labels=None, ids=None):
     if labels is None:
         labels = [ALL_LABELS[i % 8] for i in range(dense.shape[0])]
     rows = tuple({j: float(v) for j, v in enumerate(r) if v != 0.0} for r in dense)
-    return FeatureMatrix(
+    return FeatureMatrix.from_rows(
         rows=rows,
         n_cols=dense.shape[1],
         sample_ids=tuple(ids or (f"s{i}" for i in range(dense.shape[0]))),
@@ -86,7 +86,7 @@ def test_training_requires_two_distinct_classes():
 
 
 def test_training_requires_rows_and_features():
-    empty_rows = FeatureMatrix(rows=(), n_cols=3, sample_ids=(), labels=())
+    empty_rows = FeatureMatrix.from_rows(rows=(), n_cols=3, sample_ids=(), labels=())
     no_features = _matrix(np.zeros((2, 0)), [ClassLabel.TROJAN, ClassLabel.BENIGN])
     with pytest.raises(DegenerateData):
         train(ModelKind.DECISION_TREE, empty_rows)
@@ -95,7 +95,7 @@ def test_training_requires_rows_and_features():
 
 
 def test_training_rejects_non_finite_weights():
-    matrix = FeatureMatrix(
+    matrix = FeatureMatrix.from_rows(
         rows=({0: float("nan")}, {0: 1.0}),
         n_cols=1,
         sample_ids=("a", "b"),
@@ -106,14 +106,13 @@ def test_training_rejects_non_finite_weights():
 
 
 def test_training_rejects_out_of_range_column_indices():
-    matrix = FeatureMatrix(
-        rows=({0: 1.0}, {5: 1.0}),
-        n_cols=2,
-        sample_ids=("a", "b"),
-        labels=(ClassLabel.TROJAN, ClassLabel.BENIGN),
-    )
     with pytest.raises(DimensionMismatch):
-        train(ModelKind.DECISION_TREE, matrix)
+        FeatureMatrix.from_rows(
+            rows=({0: 1.0}, {5: 1.0}),
+            n_cols=2,
+            sample_ids=("a", "b"),
+            labels=(ClassLabel.TROJAN, ClassLabel.BENIGN),
+        )
 
 
 def test_training_rejects_misaligned_labels():
@@ -303,7 +302,7 @@ def test_forest_probabilities_are_vote_fractions():
     rng = np.random.default_rng(103)
     matrix = _clustered(rng)
     model = _fast_model(ModelKind.RANDOM_FOREST, matrix, seed=7)
-    for row in matrix.rows[:16]:
+    for row in matrix.to_dense()[:16]:
         dist = predict_proba(model, row)
         votes = [p * 10 for p in dist.probabilities]
         assert all(abs(v - round(v)) < 1e-9 for v in votes)
@@ -394,7 +393,7 @@ def test_knn_probabilities_are_neighbor_vote_fractions():
     rng = np.random.default_rng(127)
     matrix = _clustered(rng)
     model = train(ModelKind.K_NEAREST_NEIGHBORS, matrix)
-    dist = predict_proba(model, matrix.rows[0])
+    dist = predict_proba(model, matrix.to_dense()[0])
     assert all(abs(p * 5 - round(p * 5)) < 1e-12 for p in dist.probabilities)
     assert math.fsum(dist.probabilities) == pytest.approx(1.0, abs=1e-12)
 
@@ -447,7 +446,7 @@ def test_bayes_fit_is_invariant_under_row_permutation():
 
 
 def test_bayes_rejects_negative_weights():
-    matrix = FeatureMatrix(
+    matrix = FeatureMatrix.from_rows(
         rows=({0: -1.0}, {0: 1.0}),
         n_cols=1,
         sample_ids=("a", "b"),
@@ -473,7 +472,7 @@ def test_svm_has_no_probability_output():
     matrix = _clustered(rng, per_class=3)
     model = _fast_model(ModelKind.LINEAR_SVM, matrix)
     with pytest.raises(Unsupported):
-        predict_proba(model, matrix.rows[0])
+        predict_proba(model, matrix.to_dense()[0])
 
 
 def test_svm_training_is_seed_deterministic():
@@ -496,9 +495,9 @@ def test_batch_prediction_matches_per_row_prediction():
     for kind in ALL_KINDS:
         model = _fast_model(kind, matrix)
         batch = predict_matrix(model, query_matrix)
-        single = [predict(model, row) for row in query_matrix.rows]
+        single = [predict(model, row) for row in query_matrix.to_dense()]
         assert batch == single, kind
-        for row, label in zip(query_matrix.rows, single):
+        for row, label in zip(query_matrix.to_dense(), single):
             if kind is ModelKind.LINEAR_SVM:
                 with pytest.raises(Unsupported):
                     predict_proba(model, row)

@@ -43,7 +43,7 @@ def _matrix(dense, labels=None):
     rows = tuple(
         {j: float(v) for j, v in enumerate(row) if v != 0.0} for row in dense
     )
-    return FeatureMatrix(
+    return FeatureMatrix.from_rows(
         rows=rows,
         n_cols=dense.shape[1],
         sample_ids=tuple(f"s{i}" for i in range(dense.shape[0])),
@@ -65,6 +65,7 @@ def _indicator_matrix(present_classes_per_col, rows_per_class=2):
 def _mi_oracle(matrix):
     """Plug-in MI from explicit joint probabilities, feature by feature."""
     n = matrix.n_rows
+    dense = matrix.to_dense()
     out = []
     for j in range(matrix.n_cols):
         terms = []
@@ -73,11 +74,11 @@ def _mi_oracle(matrix):
                 joint = sum(
                     1
                     for i in range(n)
-                    if (matrix.rows[i].get(j, 0.0) != 0.0) == present
+                    if (dense[i, j] != 0.0) == present
                     and matrix.labels[i] is label
                 ) / n
                 p_x = sum(
-                    1 for i in range(n) if (matrix.rows[i].get(j, 0.0) != 0.0) == present
+                    1 for i in range(n) if (dense[i, j] != 0.0) == present
                 ) / n
                 p_y = sum(1 for i in range(n) if matrix.labels[i] is label) / n
                 if joint > 0.0:

@@ -10,6 +10,7 @@ from apigram.errors import (
     DimensionMismatch,
     EmptyCorpus,
     EmptyDocument,
+    IoFailure,
     ZeroDf,
 )
 from apigram.labels import ALL_LABELS, ClassLabel
@@ -43,6 +44,12 @@ def _random_corpus(rng, max_docs=20, max_terms=50):
         counts = {terms[j]: int(rng.integers(1, 6)) for j in np.flatnonzero(present)}
         docs.append(_doc(f"d{i}", counts, ALL_LABELS[i % 8]))
     return docs
+
+
+def _rows(matrix):
+    """Each row as a ``{column: weight}`` dict, read from the CSR arrays."""
+    bounds = zip(matrix.indptr[:-1].tolist(), matrix.indptr[1:].tolist())
+    return [dict(zip(matrix.indices[a:b].tolist(), matrix.data[a:b].tolist())) for a, b in bounds]
 
 
 def _dense_tfidf_oracle(docs, vocabulary):
@@ -95,17 +102,18 @@ def test_worked_two_document_corpus():
     matrix = tfidf_matrix([doc_a, doc_b], vocabulary)
     col_sample = vocabulary.index_of("sample")
     col_another = vocabulary.index_of("another")
-    assert matrix.rows[0][col_sample] == pytest.approx(0.2 * math.log10(2.0), abs=1e-12)
-    assert matrix.rows[0][col_sample] == pytest.approx(0.0602, abs=1e-4)
-    assert col_another not in matrix.rows[0]
-    assert matrix.rows[1][col_another] == pytest.approx(0.0602, abs=1e-4)
+    rows = _rows(matrix)
+    assert rows[0][col_sample] == pytest.approx(0.2 * math.log10(2.0), abs=1e-12)
+    assert rows[0][col_sample] == pytest.approx(0.0602, abs=1e-4)
+    assert col_another not in rows[0]
+    assert rows[1][col_another] == pytest.approx(0.0602, abs=1e-4)
 
 
 def test_single_document_corpus_vectorizes_to_zero_rows():
     doc = _doc("only", {"X": 3, "Y": 1})
     vocabulary = build_vocabulary([doc])
     matrix = tfidf_matrix([doc], vocabulary)
-    assert matrix.rows == ({},)
+    assert _rows(matrix) == [{}]
 
 
 def test_tfidf_zero_iff_absent_or_ubiquitous():
@@ -113,15 +121,15 @@ def test_tfidf_zero_iff_absent_or_ubiquitous():
     for _ in range(30):
         docs = _random_corpus(rng, max_docs=10, max_terms=12)
         vocabulary = build_vocabulary(docs)
-        matrix = tfidf_matrix(docs, vocabulary)
+        rows = _rows(tfidf_matrix(docs, vocabulary))
         for i, doc in enumerate(docs):
             for j, term in enumerate(vocabulary.terms):
-                stored = matrix.rows[i].get(j, 0.0)
+                stored = rows[i].get(j, 0.0)
                 if stored == 0.0:
                     assert term not in doc.counts or vocabulary.df[j] == vocabulary.n_docs
                 else:
                     assert term in doc.counts and vocabulary.df[j] < vocabulary.n_docs
-                assert (j in matrix.rows[i]) == (stored != 0.0)
+                assert (j in rows[i]) == (stored != 0.0)
 
 
 def test_out_of_vocabulary_terms_count_toward_the_denominator():
@@ -131,7 +139,7 @@ def test_out_of_vocabulary_terms_count_toward_the_denominator():
     matrix = tfidf_matrix([unseen], vocabulary)
     col_y = vocabulary.index_of("Y")
     expected = (1 / 4) * math.log10(2 / 1)
-    assert matrix.rows[0] == {col_y: pytest.approx(expected, abs=1e-15)}
+    assert _rows(matrix)[0] == {col_y: pytest.approx(expected, abs=1e-15)}
 
 
 def test_tf_values_sum_to_one_per_nonempty_document():
@@ -150,9 +158,7 @@ def test_l2_rows_are_unit_norm_and_argmax_is_preserved():
         vocabulary = build_vocabulary(docs)
         plain = tfidf_matrix(docs, vocabulary, l2=False)
         scaled = tfidf_matrix(docs, vocabulary, l2=True)
-        assert plain.normalized is False
-        assert scaled.normalized is True
-        for raw_row, unit_row in zip(plain.rows, scaled.rows):
+        for raw_row, unit_row in zip(_rows(plain), _rows(scaled)):
             if not unit_row:
                 assert not raw_row
                 continue
@@ -176,15 +182,14 @@ def test_frequency_matrix_stores_raw_counts():
     docs = [_doc("a", {"X": 3, "Y": 1}), _doc("b", {})]
     vocabulary = build_vocabulary(docs)
     matrix = frequency_matrix(docs, vocabulary)
-    assert matrix.rows[0] == {vocabulary.index_of("X"): 3.0, vocabulary.index_of("Y"): 1.0}
-    assert matrix.rows[1] == {}
+    assert _rows(matrix) == [{vocabulary.index_of("X"): 3.0, vocabulary.index_of("Y"): 1.0}, {}]
 
 
 def test_frequency_matrix_word_corpus_counts():
     doc_b = _doc("B", {"sample": 1, "another": 1, "text": 1, "document": 2})
     vocabulary = build_vocabulary([doc_b])
     matrix = frequency_matrix([doc_b], vocabulary)
-    by_term = {t: matrix.rows[0][vocabulary.index_of(t)] for t in vocabulary.terms}
+    by_term = {t: _rows(matrix)[0][vocabulary.index_of(t)] for t in vocabulary.terms}
     assert by_term == {"sample": 1.0, "another": 1.0, "text": 1.0, "document": 2.0}
 
 
@@ -212,7 +217,7 @@ def test_matrix_csv_round_trip_is_exact(tmp_path):
     assert again.n_cols == matrix.n_cols
     assert again.sample_ids == matrix.sample_ids
     assert again.labels == matrix.labels
-    assert again.rows == matrix.rows
+    assert _rows(again) == _rows(matrix)
 
 
 def test_select_rows_and_apply_mask_semantics():
@@ -221,17 +226,74 @@ def test_select_rows_and_apply_mask_semantics():
     matrix = tfidf_matrix(docs, vocabulary, l2=True)
     subset = matrix.select_rows([2, 0])
     assert subset.sample_ids == ("d2", "d0")
-    assert subset.rows == (matrix.rows[2], matrix.rows[0])
-    assert subset.normalized is True
+    assert _rows(subset) == [_rows(matrix)[2], _rows(matrix)[0]]
     kept = [vocabulary.index_of("X"), vocabulary.index_of("Z")]
     masked = matrix.apply_mask(kept)
     assert masked.n_cols == 2
-    assert masked.normalized is False
-    for old_row, new_row in zip(matrix.rows, masked.rows):
+    for old_row, new_row in zip(_rows(matrix), _rows(masked)):
         for new_col, old_col in enumerate(kept):
             assert new_row.get(new_col, 0.0) == old_row.get(old_col, 0.0)
 
 
 def test_feature_matrix_alignment_is_enforced():
     with pytest.raises(DimensionMismatch):
-        FeatureMatrix(rows=({},), n_cols=1, sample_ids=("a", "b"), labels=(ClassLabel.BENIGN,))
+        FeatureMatrix.from_rows(rows=({},), n_cols=1, sample_ids=("a", "b"), labels=(ClassLabel.BENIGN,))
+
+
+@pytest.mark.parametrize(
+    "indptr, indices, data",
+    [
+        ([0, 2, 1], [0, 1], [1.0, 1.0]),  # indptr falls
+        ([1, 1, 2], [0], [1.0]),  # indptr does not start at 0
+        ([0, 1, 1], [0, 1], [1.0, 1.0]),  # indptr does not end at the entry count
+        ([0, 1, 2], [0, 1], [1.0]),  # fewer weights than column indices
+        ([0, 1, 2], [0, 3], [1.0, 1.0]),  # column past n_cols
+        ([0, 1, 2], [-1, 0], [1.0, 1.0]),  # negative column
+        ([0, 2, 2], [1, 1], [1.0, 1.0]),  # column repeated within a row
+        ([0, 2, 2], [2, 0], [1.0, 1.0]),  # columns out of order within a row
+        ([0, 1, 2], [0, 1], [1.0, 0.0]),  # stored zero
+    ],
+)
+def test_feature_matrix_rejects_non_canonical_csr(indptr, indices, data):
+    with pytest.raises(DimensionMismatch):
+        FeatureMatrix(
+            indptr=indptr,
+            indices=indices,
+            data=data,
+            n_cols=3,
+            sample_ids=("a", "b"),
+            labels=(ClassLabel.BENIGN, ClassLabel.WORM),
+        )
+
+
+def test_reshaping_matches_dense_indexing():
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        n_rows, n_cols = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        dense = rng.normal(size=(n_rows, n_cols)) * (rng.random((n_rows, n_cols)) < 0.4)
+        matrix = FeatureMatrix.from_rows(
+            rows=[dict(enumerate(row.tolist())) for row in dense],  # zeros are dropped
+            n_cols=n_cols,
+            sample_ids=[f"s{i}" for i in range(n_rows)],
+            labels=[ALL_LABELS[i % 8] for i in range(n_rows)],
+        )
+        assert np.array_equal(matrix.to_dense(), dense)
+        picked = rng.integers(0, n_rows, size=int(rng.integers(0, 2 * n_rows)))
+        subset = matrix.select_rows(picked.tolist())
+        assert np.array_equal(subset.to_dense(), dense[picked])
+        assert subset.sample_ids == tuple(f"s{i}" for i in picked)
+        kept = np.flatnonzero(rng.random(n_cols) < 0.5)
+        assert np.array_equal(matrix.apply_mask(kept.tolist()).to_dense(), dense[:, kept])
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["-1,0,2.0", "2,0,2.0", "0,-1,2.0", "0,3,2.0", "0,1,2.0"],
+    ids=["negative-row", "row-past-shape", "negative-col", "col-past-shape", "duplicate"],
+)
+def test_read_matrix_rejects_entries_outside_the_shape_or_stored_twice(tmp_path, entry):
+    (tmp_path / "l.csv").write_text("row,sample_id,label\n0,a,Trojan\n1,b,Worm\n")
+    body = "row,col,weight\n#shape,2,3\n0,1,1.0\n1,2,1.0\n" + entry + "\n"
+    (tmp_path / "m.csv").write_text(body)
+    with pytest.raises(IoFailure):
+        read_matrix(tmp_path / "m.csv", tmp_path / "l.csv")
