@@ -12,12 +12,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
 from .config import SCHEMA, PipelineConfig, coerce, read_config
-from .errors import ConfigError, MissingArtifact, PipelineError
+from .errors import ConfigError, IoFailure, MissingArtifact, PipelineError
 from .evaluate import SplitSpec, evaluate, emit_report, stratified_split
 from .ingest import load_corpus, report_from_json_line, report_to_json_bytes
 from .models import HyperParams, ModelKind, load_model, save_model, train
@@ -151,11 +150,6 @@ def _require(path: Path, producer: str) -> Path:
     return path
 
 
-def _threads(cfg: PipelineConfig) -> int:
-    explicit = int(cfg["threads"])
-    return explicit if explicit > 0 else (os.cpu_count() or 1)
-
-
 def _read_reports(cfg: PipelineConfig):
     path = _require(cfg.workdir / "corpus.jsonl", "ingest")
     with open(path, encoding="utf-8") as fh:
@@ -176,14 +170,16 @@ def _write_split(cfg: PipelineConfig, sample_ids, train_rows, test_rows) -> Path
 
 def _read_split(cfg: PipelineConfig) -> tuple[list[int], list[int]]:
     path = _require(cfg.workdir / "split.csv", "featurize")
-    train_rows: list[int] = []
-    test_rows: list[int] = []
+    parts: dict[str, list[int]] = {"train": [], "test": []}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        next(reader)
-        for record in reader:
-            (train_rows if record[2] == "train" else test_rows).append(int(record[0]))
-    return train_rows, test_rows
+        next(reader, None)
+        for line_no, record in enumerate(reader, start=2):
+            try:
+                parts[record[2]].append(int(record[0]))
+            except (IndexError, KeyError, ValueError) as exc:
+                raise IoFailure(f"{path}:{line_no}: bad split record {record!r}") from exc
+    return parts["train"], parts["test"]
 
 
 def _feature_file(cfg: PipelineConfig, prefix: str) -> Path:
@@ -212,7 +208,7 @@ def cmd_synth(cfg: PipelineConfig) -> None:
 
 def cmd_ingest(cfg: PipelineConfig) -> None:
     manifest = _require(cfg.manifest_path, "synth (or point io.manifest at a corpus)")
-    reports = load_corpus(manifest, threads=_threads(cfg))
+    reports = load_corpus(manifest)
     out_path = cfg.workdir / "corpus.jsonl"
     with open(out_path, "wb") as fh:
         for report in reports:

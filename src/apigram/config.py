@@ -16,14 +16,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
-
-_RULE_NAMES = ("contains-digit", "contains-special", "is-hex-address", "is-pure-numeric")
+from .select import ALL_LEXICAL_RULES
 
 # key -> (type tag, default, help text). Type tags: int, float, bool,
 # str, ints (comma list of int), strs (comma list of str).
 SCHEMA: dict[str, tuple[str, object, str]] = {
     "seed": ("int", 0, "master seed; every random stream derives from it"),
-    "threads": ("int", 0, "worker threads for report parsing; 0 means all cores"),
     "io.workdir": ("str", "apigram-work", "directory holding all stage artifacts"),
     "io.manifest": ("str", "", "corpus manifest CSV; empty means <workdir>/manifest.csv"),
     "synth.scale": ("str", "desk", "built-in corpus size: tiny (8x20) or desk (8x100)"),
@@ -34,7 +32,8 @@ SCHEMA: dict[str, tuple[str, object, str]] = {
     "ngram.reset_at_process": ("bool", False, "restart n-gram windows at process boundaries"),
     "vectorizer.l2": ("bool", True, "L2-normalize TF-IDF rows"),
     "selection.enabled": ("bool", True, "run the feature-selection stage"),
-    "selection.lexical_rules": ("strs", _RULE_NAMES, "lexical rules; empty disables the stage"),
+    "selection.lexical_rules": ("strs", tuple(sorted(ALL_LEXICAL_RULES)),
+                                "lexical rules; empty disables the stage"),
     "selection.min_df": ("int", 2, "frequency filter: minimum document frequency"),
     "selection.max_df_ratio": ("float", 0.95, "frequency filter: maximum df as a corpus fraction"),
     "selection.mi_top_ratio": ("float", 0.05, "ranking stage keep ratio (of original vocabulary)"),
@@ -139,10 +138,8 @@ class PipelineConfig:
                 f"got {self['ngram.active']!r}"
             )
         for rule in self["selection.lexical_rules"]:
-            if rule not in _RULE_NAMES:
+            if rule not in ALL_LEXICAL_RULES:
                 raise ConfigError(f"unknown lexical rule {rule!r}")
-        if self["threads"] < 0:
-            raise ConfigError("threads must be >= 0")
 
     def __getitem__(self, key: str) -> object:
         try:

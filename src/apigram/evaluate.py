@@ -40,11 +40,10 @@ def _round_half_up(value: float) -> int:
 
 
 def stratified_split(
-    corpus: Sequence[ClassLabel] | FeatureMatrix,
+    labels: Sequence[ClassLabel],
     spec: SplitSpec,
 ) -> tuple[list[int], list[int]]:
     """Disjoint, exhaustive (train, test) index lists, sorted ascending."""
-    labels = list(corpus.labels) if isinstance(corpus, FeatureMatrix) else list(corpus)
     rng = np.random.default_rng(spec.seed)
     train: list[int] = []
     test: list[int] = []

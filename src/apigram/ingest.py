@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -240,8 +239,12 @@ def report_from_json_line(line: str) -> BehaviorReport:
     """Re-parse one normalized JSONL line (as written by the ingest stage)."""
     try:
         document = json.loads(line)
-        sample_id = document["sample_id"]
-        label = ClassLabel.from_name(document["label"])
+        if not isinstance(document, dict):
+            raise ValueError("not a JSON object")
+        sample_id, label = document["sample_id"], document["label"]
+        if not (isinstance(sample_id, str) and isinstance(label, str)):
+            raise ValueError("sample_id and label must be strings")
+        label = ClassLabel.from_name(label)
     except (json.JSONDecodeError, KeyError, ValueError) as exc:
         raise MalformedJson(f"bad normalized report line: {exc}") from exc
     try:
@@ -282,37 +285,24 @@ def write_manifest(path: str | Path, rows: list[tuple[str, str, str]]) -> None:
         writer.writerows(rows)
 
 
-def load_corpus(
-    manifest_path: str | Path,
-    threads: int = 1,
-    keep_empty: bool = False,
-) -> list[BehaviorReport]:
+def load_corpus(manifest_path: str | Path, keep_empty: bool = False) -> list[BehaviorReport]:
     """Parse every report named in the manifest, in manifest order.
 
-    Parsing is pure per file, so files are read in parallel when
-    ``threads`` > 1; results are merged back in manifest order. Empty
-    traces are dropped (with a warning) unless ``keep_empty`` is set.
+    Empty traces are dropped (with a warning) unless ``keep_empty`` is set.
     """
-    entries = load_manifest(manifest_path)
-
-    def _load(entry: tuple[str, ClassLabel, Path]) -> BehaviorReport | None:
-        sample_id, label, report_path = entry
+    reports: list[BehaviorReport] = []
+    for sample_id, label, report_path in load_manifest(manifest_path):
         try:
             raw = report_path.read_bytes()
         except OSError as exc:
             raise IoFailure(f"cannot read report {report_path}: {exc}") from exc
         try:
-            return parse_report(raw, label, sample_id)
+            reports.append(parse_report(raw, label, sample_id))
         except EmptyTrace as exc:
             logger.warning("sample %s has an empty trace", sample_id)
-            return exc.report if keep_empty else None
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_load, entries))
-    else:
-        results = [_load(entry) for entry in entries]
-    return [report for report in results if report is not None]
+            if keep_empty:
+                reports.append(exc.report)
+    return reports
 
 
 # ---------------------------------------------------------------------------

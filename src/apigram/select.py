@@ -29,7 +29,6 @@ RULE_PURE_NUMERIC = "is-pure-numeric"
 ALL_LEXICAL_RULES = frozenset(
     {RULE_CONTAINS_DIGIT, RULE_CONTAINS_SPECIAL, RULE_HEX_ADDRESS, RULE_PURE_NUMERIC}
 )
-DEFAULT_LEXICAL_RULES = ALL_LEXICAL_RULES
 
 _DIGIT = re.compile(r"\d")
 _SPECIAL = re.compile(r"[^A-Za-z._-]")
@@ -43,7 +42,7 @@ _DUPLICATE_EPS = 1e-12
 
 @dataclass(frozen=True)
 class SelectionConfig:
-    lexical_filters: frozenset[str] = DEFAULT_LEXICAL_RULES
+    lexical_filters: frozenset[str] = ALL_LEXICAL_RULES
     min_df: int = 2
     max_df_ratio: float = 0.95
     mi_top_ratio: float = 0.05

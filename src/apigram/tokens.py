@@ -55,13 +55,17 @@ def canonical_token(call: ApiCallRecord, max_args: int = 2) -> str:
 SUPPORTED_N = (1, 2, 3)
 
 
+def _check_n(n) -> None:
+    if not isinstance(n, int) or isinstance(n, bool) or n not in SUPPORTED_N:
+        raise InvalidN(f"n-gram size must be one of {SUPPORTED_N}, got {n!r}")
+
+
 def extract_ngrams(tokens: list[str] | tuple[str, ...], n: int) -> list[str]:
     """All order-preserving n-grams of a token sequence, with multiplicity.
 
     Sequences shorter than ``n`` yield no n-grams.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n not in SUPPORTED_N:
-        raise InvalidN(f"n-gram size must be one of {SUPPORTED_N}, got {n!r}")
+    _check_n(n)
     return [NGRAM_JOINER.join(tokens[i:i + n]) for i in range(len(tokens) - n + 1)]
 
 
@@ -81,13 +85,12 @@ def report_ngrams(
     With ``reset_at_process`` the sliding window restarts at each process
     boundary, so no n-gram spans two processes.
     """
-    if reset_at_process and report.process_call_counts:
-        out: list[str] = []
-        for segment in report.process_segments():
-            tokens = [canonical_token(call, max_args) for call in segment]
-            out.extend(extract_ngrams(tokens, n))
-        return out
-    return extract_ngrams(tokenize_report(report, max_args), n)
+    _check_n(n)
+    segments = report.process_segments() if reset_at_process else [report.calls]
+    out: list[str] = []
+    for segment in segments:
+        out.extend(extract_ngrams([canonical_token(call, max_args) for call in segment], n))
+    return out
 
 
 @dataclass(frozen=True)

@@ -108,6 +108,8 @@ class FeatureMatrix:
 
     def select_rows(self, rows: list[int]) -> "FeatureMatrix":
         picked = np.asarray(rows, dtype=np.int64)
+        if picked.size and (picked.min() < 0 or picked.max() >= self.n_rows):
+            raise DimensionMismatch(f"row index outside [0, {self.n_rows})")
         starts = self.indptr[picked]
         lengths = self.indptr[picked + 1] - starts
         indptr = np.concatenate(([0], np.cumsum(lengths)))

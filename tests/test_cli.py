@@ -160,6 +160,50 @@ def test_malformed_set_item_reports_a_config_error(tmp_path, capsys):
     assert _error_line(capsys)["error"] == "ConfigError"
 
 
+def test_non_object_corpus_line_reports_malformed_json(tmp_path, capsys):
+    workdir = tmp_path / "w"
+    workdir.mkdir()
+    (workdir / "corpus.jsonl").write_text("[1]\n")
+    assert _run("featurize", "--workdir", str(workdir)) == 2
+    assert _error_line(capsys)["error"] == "MalformedJson"
+
+
+def test_split_row_outside_the_matrix_reports_an_error(tmp_path, capsys):
+    workdir = tmp_path / "run"
+    assert _run(*_tiny_args(workdir, "--no-selection")) == 0
+    split = workdir / "split.csv"
+    header, first, *rest = split.read_text().splitlines()
+    _, sample_id, part = first.split(",")
+    split.write_text("\n".join([header, f"10000,{sample_id},{part}", *rest]) + "\n")
+    capsys.readouterr()
+    assert _run("train", "--workdir", str(workdir), "--no-selection",
+                "--model", "decision_tree", "--seed", "1") == 2
+    assert _error_line(capsys)["error"] == "DimensionMismatch"
+
+
+def test_malformed_split_record_reports_an_io_failure(tmp_path, capsys):
+    workdir = tmp_path / "run"
+    assert _run(*_tiny_args(workdir, "--no-selection")) == 0
+    split = workdir / "split.csv"
+    good = split.read_text()
+    for bad in ("0,s0\n", "zero,s0,train\n", "0,s0,holdout\n"):
+        split.write_text(good + bad)
+        capsys.readouterr()
+        assert _run("train", "--workdir", str(workdir), "--no-selection",
+                    "--model", "decision_tree", "--seed", "1") == 2, bad
+        assert _error_line(capsys)["error"] == "IoFailure", bad
+
+
+def test_removed_threads_setting_is_rejected(tmp_path, capsys):
+    path = tmp_path / "run.conf"
+    path.write_text("threads = 2\n")
+    assert _run("ingest", "--config", str(path), "--workdir", str(tmp_path / "w")) == 2
+    assert _error_line(capsys)["error"] == "ConfigError"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["ingest", "--threads", "2"])
+    assert excinfo.value.code == 2
+
+
 # ---------------------------------------------------------------------------
 # Configuration plumbing
 # ---------------------------------------------------------------------------

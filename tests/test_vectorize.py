@@ -235,6 +235,18 @@ def test_select_rows_and_apply_mask_semantics():
             assert new_row.get(new_col, 0.0) == old_row.get(old_col, 0.0)
 
 
+@pytest.mark.parametrize("row", [5, 2, -1])
+def test_select_rows_rejects_rows_outside_the_matrix(row):
+    matrix = FeatureMatrix.from_rows(
+        rows=({0: 1.0}, {1: 2.0}),
+        n_cols=2,
+        sample_ids=("a", "b"),
+        labels=(ClassLabel.BENIGN, ClassLabel.WORM),
+    )
+    with pytest.raises(DimensionMismatch):
+        matrix.select_rows([0, row])
+
+
 def test_feature_matrix_alignment_is_enforced():
     with pytest.raises(DimensionMismatch):
         FeatureMatrix.from_rows(rows=({},), n_cols=1, sample_ids=("a", "b"), labels=(ClassLabel.BENIGN,))
