@@ -5,6 +5,9 @@ Accepts the Cuckoo 2.x report layout (``behavior`` -> ``processes[]`` ->
 Each sample becomes a :class:`BehaviorReport` whose call sequence
 concatenates all processes' calls in report order, and can be partitioned
 into the four element streams (category / name / arguments / return).
+
+Ingest stores each report as one plain-record ``corpus.jsonl`` line, which
+featurize reads back by indexing, without that tolerant parser.
 """
 from __future__ import annotations
 
@@ -149,11 +152,6 @@ def parse_report(raw: bytes | str, label: ClassLabel, sample_id: str) -> Behavio
         document = json.loads(raw)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MalformedJson(f"{sample_id}: undecodable report JSON: {exc}") from exc
-    return _report_from_document(document, label, sample_id)
-
-
-def _report_from_document(document, label: ClassLabel, sample_id: str) -> BehaviorReport:
-    """The report of one decoded JSON document; raises as ``parse_report``."""
     if not isinstance(document, dict):
         raise MissingBehaviorSection(f"{sample_id}: report is not a JSON object")
 
@@ -202,55 +200,53 @@ def partition_elements(
 
 
 # ---------------------------------------------------------------------------
-# Normalized JSON round trip
+# corpus.jsonl lines
 # ---------------------------------------------------------------------------
 
 def report_to_json_bytes(report: BehaviorReport) -> bytes:
-    """Serialize to the normalized JSON form.
-
-    The output is itself a valid ``parse_report`` input, so
-    parse(serialize(r)) reproduces ``r`` exactly.
-    """
-    segments = report.process_segments()
+    """One ``corpus.jsonl`` line: ``{"label", "processes", "sample_id"}``, each
+    process a list of ``[category, name, [arguments...], return]`` string
+    records; ``report_from_json_line`` reads a parsed report back exactly."""
     document = {
         "sample_id": report.sample_id,
         "label": report.label.value,
-        "behavior": {
-            "processes": [
-                {
-                    "calls": [
-                        {
-                            "category": call.category,
-                            "api": call.name,
-                            "arguments": list(call.arguments),
-                            "return": call.return_value,
-                        }
-                        for call in segment
-                    ]
-                }
-                for segment in segments
-            ]
-        },
+        "processes": [
+            [[call.category, call.name, list(call.arguments), call.return_value] for call in segment]
+            for segment in report.process_segments()
+        ],
     }
     return json.dumps(document, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
+def _call_from_fields(fields) -> ApiCallRecord:
+    if not (isinstance(fields, list) and len(fields) == 4):
+        raise ValueError(f"call {fields!r} is not [category, name, arguments, return]")
+    category, name, arguments, return_value = fields
+    if not (isinstance(arguments, list)
+            and all(isinstance(v, str) for v in (category, name, return_value, *arguments))):
+        raise ValueError(f"call {fields!r} holds a non-string field")
+    return ApiCallRecord(category, name, tuple(arguments), return_value)
+
+
 def report_from_json_line(line: str) -> BehaviorReport:
-    """Re-parse one normalized JSONL line (as written by the ingest stage)."""
+    """Rebuild a ``report_to_json_bytes`` line; any other shape is ``MalformedJson``."""
     try:
         document = json.loads(line)
         if not isinstance(document, dict):
             raise ValueError("not a JSON object")
-        sample_id, label = document["sample_id"], document["label"]
+        sample_id, label, processes = document["sample_id"], document["label"], document["processes"]
         if not (isinstance(sample_id, str) and isinstance(label, str)):
             raise ValueError("sample_id and label must be strings")
-        label = ClassLabel.from_name(label)
+        if not (isinstance(processes, list) and all(isinstance(p, list) for p in processes)):
+            raise ValueError("processes must be a list of call lists")
+        return BehaviorReport(
+            sample_id=sample_id,
+            label=ClassLabel.from_name(label),
+            calls=tuple(_call_from_fields(fields) for process in processes for fields in process),
+            process_call_counts=tuple(len(process) for process in processes),
+        )
     except (json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise MalformedJson(f"bad normalized report line: {exc}") from exc
-    try:
-        return _report_from_document(document, label, sample_id)
-    except EmptyTrace as exc:
-        return exc.report
+        raise MalformedJson(f"bad corpus.jsonl line: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +263,10 @@ def load_manifest(path: str | Path) -> list[tuple[str, ClassLabel, Path]]:
     entries: list[tuple[str, ClassLabel, Path]] = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
+            reader = csv.DictReader(fh, restval="")
             for row in reader:
+                if not row["path"]:
+                    raise ValueError(f"line {reader.line_num}: no report path")
                 report_path = Path(row["path"])
                 if not report_path.is_absolute():
                     report_path = base / report_path

@@ -351,8 +351,7 @@ def read_mask(path: str | Path) -> SelectionMask:
     scores: dict[int, float] = {}
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
+            for row in csv.DictReader(fh, restval=""):
                 j = int(row["kept_index"])
                 kept.append(j)
                 scores[j] = float(row["mi_score"])

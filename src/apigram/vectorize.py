@@ -236,7 +236,8 @@ def read_matrix(path: str | Path, labels_path: str | Path) -> FeatureMatrix:
     outside ``#shape`` or stored twice are rejected."""
     try:
         with open(labels_path, newline="", encoding="utf-8") as fh:
-            pairs = [(row["sample_id"], ClassLabel.from_name(row["label"])) for row in csv.DictReader(fh)]
+            pairs = [(row["sample_id"], ClassLabel.from_name(row["label"]))
+                     for row in csv.DictReader(fh, restval="")]
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader)

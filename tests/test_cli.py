@@ -168,6 +168,17 @@ def test_non_object_corpus_line_reports_malformed_json(tmp_path, capsys):
     assert _error_line(capsys)["error"] == "MalformedJson"
 
 
+def test_cuckoo_shaped_corpus_line_reports_malformed_json(tmp_path, capsys):
+    workdir = tmp_path / "w"
+    workdir.mkdir()
+    (workdir / "corpus.jsonl").write_text(
+        '{"behavior":{"processes":[{"calls":[{"api":"NtClose","arguments":[],'
+        '"category":"system","return":"0"}]}]},"label":"Worm","sample_id":"s0"}\n'
+    )
+    assert _run("featurize", "--workdir", str(workdir)) == 2
+    assert _error_line(capsys)["error"] == "MalformedJson"
+
+
 def test_split_row_outside_the_matrix_reports_an_error(tmp_path, capsys):
     workdir = tmp_path / "run"
     assert _run(*_tiny_args(workdir, "--no-selection")) == 0
@@ -192,6 +203,17 @@ def test_malformed_split_record_reports_an_io_failure(tmp_path, capsys):
         assert _run("train", "--workdir", str(workdir), "--no-selection",
                     "--model", "decision_tree", "--seed", "1") == 2, bad
         assert _error_line(capsys)["error"] == "IoFailure", bad
+
+
+def test_truncated_selection_mask_line_reports_an_io_failure(tmp_path, capsys):
+    workdir = tmp_path / "run"
+    assert _run(*_tiny_args(workdir)) == 0
+    mask = workdir / "selection_mask.csv"
+    header, first, *rest = mask.read_text().splitlines()
+    mask.write_text("\n".join([header, first.split(",")[0], *rest]) + "\n")
+    capsys.readouterr()
+    assert _run("train", "--workdir", str(workdir), "--model", "decision_tree", "--seed", "1") == 2
+    assert _error_line(capsys)["error"] == "IoFailure"
 
 
 def test_removed_threads_setting_is_rejected(tmp_path, capsys):

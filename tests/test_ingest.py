@@ -21,6 +21,8 @@ from apigram.ingest import (
     write_manifest,
 )
 from apigram.labels import ALL_LABELS, ClassLabel
+from apigram.select import read_mask
+from apigram.vectorize import read_matrix
 
 
 def _raw(processes) -> bytes:
@@ -181,6 +183,7 @@ def test_parse_is_deterministic():
 
 def test_normalized_json_round_trip_is_exact():
     rng = np.random.default_rng(101)
+    reports = []
     for _ in range(50):
         n_proc = int(rng.integers(1, 4))
         processes = []
@@ -195,9 +198,19 @@ def test_normalized_json_round_trip_is_exact():
                 for _ in range(int(rng.integers(1, 6)))
             ]
             processes.append({"calls": calls})
+        processes.insert(int(rng.integers(0, n_proc + 1)), {"calls": []})
         report = parse_report(_raw(processes), ClassLabel.DOWNLOADER, "rt")
-        again = parse_report(report_to_json_bytes(report), report.label, report.sample_id)
-        assert again == report
+        assert 0 in report.process_call_counts
+        reports.append(report)
+    with pytest.raises(EmptyTrace) as excinfo:
+        parse_report(_raw([{"calls": []}, {"calls": []}]), ClassLabel.BENIGN, "void")
+    reports.append(excinfo.value.report)
+    for report in reports:
+        assert report_from_json_line(report_to_json_bytes(report).decode()) == report
+
+
+def _corpus_line(**fields):
+    return json.dumps({"label": "Worm", "sample_id": "x", **fields})
 
 
 def test_report_from_json_line_preserves_identity_and_label():
@@ -211,6 +224,18 @@ def test_report_from_json_line_preserves_identity_and_label():
         '"x"',
         line.replace('"sample_id":"line-1"', '"sample_id":3'),
         line.replace('"label":"Worm"', '"label":5'),
+        _corpus_line(processes=[[[1, "NtClose", [], "0"]]]),
+        _corpus_line(processes=[[["system", None, [], "0"]]]),
+        _corpus_line(processes=[[["system", "NtClose", [7], "0"]]]),
+        _corpus_line(processes=[[["system", "NtClose", [], 0]]]),
+        _corpus_line(processes=[[["system", "NtClose", "h", "0"]]]),
+        _corpus_line(processes=[[["system", "NtClose", []]]]),
+        _corpus_line(processes=[{}]),
+        _corpus_line(processes={"calls": []}),
+        _corpus_line(),
+        _corpus_line(behavior={"processes": [{"calls": [
+            {"api": "NtClose", "arguments": [], "category": "system", "return": "0"},
+        ]}]}),
     ]
     for bad in bad_lines:
         with pytest.raises(MalformedJson):
@@ -234,6 +259,19 @@ def test_manifest_round_trip_and_relative_paths(tmp_path):
 def test_load_manifest_missing_file_raises(tmp_path):
     with pytest.raises(IoFailure):
         load_manifest(tmp_path / "nope.csv")
+
+
+@pytest.mark.parametrize("reader, header, short_row", [
+    (load_manifest, "sample_id,label,path", "a,Trojan"),
+    (read_mask, "kept_index,ngram,mi_score", "3"),
+    (lambda path: read_matrix(path.with_name("m.csv"), path), "row,sample_id,label", "0,s0"),
+], ids=["manifest", "mask", "labels"])
+def test_short_csv_rows_raise_io_failure(tmp_path, reader, header, short_row):
+    (tmp_path / "m.csv").write_text("row,col,weight\n#shape,1,1\n")
+    path = tmp_path / "short.csv"
+    path.write_text(f"{header}\n{short_row}\n")
+    with pytest.raises(IoFailure):
+        reader(path)
 
 
 def _write_small_corpus(tmp_path, n=10):
