@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .config import SCHEMA, PipelineConfig, coerce, read_config
-from .errors import ConfigError, IoFailure, MissingArtifact, PipelineError
+from .errors import ConfigError, IoFailure, MalformedJson, MissingArtifact, PipelineError
 from .evaluate import SplitSpec, evaluate, emit_report, stratified_split
 from .ingest import load_corpus, report_from_json_line, report_to_json_bytes
 from .models import HyperParams, ModelKind, load_model, save_model, train
@@ -152,8 +152,16 @@ def _require(path: Path, producer: str) -> Path:
 
 def _read_reports(cfg: PipelineConfig):
     path = _require(cfg.workdir / "corpus.jsonl", "ingest")
-    with open(path, encoding="utf-8") as fh:
-        return [report_from_json_line(line) for line in fh if line.strip()]
+    reports = []
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                reports.append(report_from_json_line(line.decode("utf-8")))
+            except (UnicodeDecodeError, MalformedJson) as exc:
+                raise MalformedJson(f"{path}:{line_no}: {exc}") from exc
+    return reports
 
 
 def _write_split(cfg: PipelineConfig, sample_ids, train_rows, test_rows) -> Path:

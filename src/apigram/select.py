@@ -39,6 +39,21 @@ _PURE_NUM = re.compile(r"^[0-9]+$")
 # float rounding in the correlation itself.
 _DUPLICATE_EPS = 1e-12
 
+# Candidate rows per BLAS product in correlation pruning. A block holds
+# _CORR_BLOCK x k correlations, so small blocks keep the select stage's
+# memory peak flat.
+_CORR_BLOCK = 128
+
+# A BLAS correlation decides a pair only when it lies further than this
+# from the cut; closer ones are re-decided by ``_pearson``. Both values come
+# from the same centered vectors, so by Cauchy-Schwarz they differ by at
+# most about (n + 4) * 2**-53, which stays below 1e-9 up to about 10**6 rows.
+_CORR_MARGIN = 1e-9
+
+# Squared norms outside this range can make ``_pearson``'s product
+# sq_j * sq_k underflow or overflow, so such columns always go to ``_pearson``.
+_SAFE_SQ_NORM = (1e-150, 1e150)
+
 
 @dataclass(frozen=True)
 class SelectionConfig:
@@ -54,6 +69,10 @@ class SelectionConfig:
             raise DimensionMismatch(f"target_ratio must be in (0, 1], got {self.target_ratio}")
         if self.min_df < 1:
             raise DimensionMismatch(f"min_df must be >= 1, got {self.min_df}")
+        if not math.isfinite(self.mi_top_ratio):
+            raise DimensionMismatch(f"mi_top_ratio must be finite, got {self.mi_top_ratio}")
+        if math.isnan(self.corr_threshold) or math.isnan(self.max_df_ratio):
+            raise DimensionMismatch("corr_threshold and max_df_ratio must be numbers, got nan")
         unknown = set(self.lexical_filters) - ALL_LEXICAL_RULES
         if unknown:
             raise DimensionMismatch(f"unknown lexical rules: {sorted(unknown)}")
@@ -239,6 +258,32 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.dot(xc, yc)) / denom
 
 
+def _correlation_blocks(cols: np.ndarray):
+    """Yield ``(start, block)`` with ``block[i, q]`` the correlation of rows
+    ``start + i`` and ``q`` of ``cols``, for every ``q`` below the block's end.
+
+    Each row is centered as ``_pearson`` centers it and scaled to unit norm;
+    a zero-norm row stays zero, so it scores 0 like ``_pearson``'s
+    ``denom == 0`` rule. Pairs with a row whose squared norm lies outside
+    ``_SAFE_SQ_NORM`` read NaN: BLAS cannot stand in for ``_pearson`` there.
+    """
+    unit = cols.copy()
+    for row in unit:
+        row -= row.mean()
+    sq = np.einsum("ij,ij->i", unit, unit)
+    scorable = (sq >= _SAFE_SQ_NORM[0]) & (sq <= _SAFE_SQ_NORM[1])
+    unit /= np.sqrt(np.where(scorable, sq, np.inf))[:, np.newaxis]
+    unit[~scorable] = 0.0
+    unscorable = ~scorable & (sq != 0.0)
+    for start in range(0, len(unit), _CORR_BLOCK):
+        end = min(start + _CORR_BLOCK, len(unit))
+        block = unit[start:end] @ unit[:end].T
+        if unscorable[:end].any():
+            block[:, unscorable[:end]] = np.nan
+            block[unscorable[start:end]] = np.nan
+        yield start, block
+
+
 def correlation_prune(
     matrix: FeatureMatrix,
     candidates: SelectionMask,
@@ -250,27 +295,44 @@ def correlation_prune(
     index); one is dropped when its Pearson correlation with any feature
     kept so far exceeds the threshold. Thresholds above 1.0 clamp to 1.0,
     where only exact duplicates are pruned.
+
+    BLAS computes the correlations as blocked products of the centered,
+    unit-norm columns (``_CORR_BLOCK`` candidates at a time). A product
+    further than ``_CORR_MARGIN`` from the cut decides its pair; a closer
+    one, or one BLAS cannot score, is re-decided by ``_pearson`` on the
+    original columns, so the kept set matches the pairwise rule tie for tie.
     """
     thr = min(threshold, 1.0)
     duplicates_only = thr >= 1.0
+    cut = 1.0 - _DUPLICATE_EPS if duplicates_only else thr
+
+    def redundant(r: float) -> bool:
+        return r >= cut if duplicates_only else r > cut
+
     order = sorted(candidates.kept, key=lambda j: (-candidates.scores.get(j, 0.0), j))
-    # One contiguous array per candidate column, in candidates.kept order.
-    values = np.ascontiguousarray(matrix.apply_mask(candidates.kept).to_dense().T)
-    columns = dict(zip(candidates.kept, values))
-    kept_order: list[int] = []
-    for j in order:
-        col = columns[j]
-        redundant = False
-        for k in kept_order:
-            r = _pearson(col, columns[k])
-            if (r >= 1.0 - _DUPLICATE_EPS) if duplicates_only else (r > thr):
-                redundant = True
-                break
-        if not redundant:
-            kept_order.append(j)
-    if not kept_order:
+    # cols[p] is the column of order[p], one contiguous row per candidate.
+    position = {j: p for p, j in enumerate(order)}
+    rank = np.array([position[j] for j in candidates.kept], dtype=np.int64)
+    masked = matrix.apply_mask(candidates.kept)
+    cols = np.zeros((len(order), matrix.n_rows), dtype=np.float64)
+    cols[rank[masked.indices], masked.entry_rows()] = masked.data
+
+    kept = np.empty(len(order), dtype=np.int64)
+    n_kept = 0
+    for start, block in _correlation_blocks(cols):
+        for p in range(start, start + len(block)):
+            prior = kept[:n_kept]
+            r = block[p - start, prior]
+            if np.any(r > cut + _CORR_MARGIN):
+                continue
+            unsure = prior[~(r < cut - _CORR_MARGIN)]
+            if any(redundant(_pearson(cols[p], cols[q])) for q in unsure):
+                continue
+            kept[n_kept] = p
+            n_kept += 1
+    if not n_kept:
         raise AllFeaturesRemoved("correlation pruning removed every feature")
-    chosen = tuple(sorted(kept_order))
+    chosen = tuple(sorted(order[p] for p in kept[:n_kept]))
     return SelectionMask(
         kept=chosen,
         scores={j: candidates.scores.get(j, 0.0) for j in chosen},

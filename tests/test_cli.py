@@ -168,6 +168,16 @@ def test_non_object_corpus_line_reports_malformed_json(tmp_path, capsys):
     assert _error_line(capsys)["error"] == "MalformedJson"
 
 
+def test_undecodable_corpus_line_reports_malformed_json(tmp_path, capsys):
+    workdir = tmp_path / "w"
+    workdir.mkdir()
+    (workdir / "corpus.jsonl").write_bytes(b"\xff\xfe\n")
+    assert _run("featurize", "--workdir", str(workdir)) == 2
+    payload = _error_line(capsys)
+    assert payload["error"] == "MalformedJson"
+    assert "corpus.jsonl:1:" in payload["message"]
+
+
 def test_cuckoo_shaped_corpus_line_reports_malformed_json(tmp_path, capsys):
     workdir = tmp_path / "w"
     workdir.mkdir()
@@ -177,6 +187,15 @@ def test_cuckoo_shaped_corpus_line_reports_malformed_json(tmp_path, capsys):
     )
     assert _run("featurize", "--workdir", str(workdir)) == 2
     assert _error_line(capsys)["error"] == "MalformedJson"
+
+
+@pytest.mark.parametrize(
+    "setting",
+    ["selection.corr_threshold=nan", "selection.mi_top_ratio=nan", "selection.mi_top_ratio=inf"],
+)
+def test_non_finite_selection_ratio_reports_an_error(tmp_path, setting, capsys):
+    assert _run(*_tiny_args(tmp_path / "run", "--set", setting)) == 2
+    assert _error_line(capsys)["error"] == "DimensionMismatch"
 
 
 def test_split_row_outside_the_matrix_reports_an_error(tmp_path, capsys):

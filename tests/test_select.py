@@ -6,9 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from apigram import select
 from apigram.errors import AllFeaturesRemoved, DimensionMismatch
 from apigram.labels import ALL_LABELS, ClassLabel
 from apigram.select import (
+    _DUPLICATE_EPS,
+    _correlation_blocks,
+    _pearson,
     ALL_LEXICAL_RULES,
     RULE_CONTAINS_DIGIT,
     RULE_CONTAINS_SPECIAL,
@@ -339,6 +343,89 @@ def test_correlation_prune_matches_numpy_oracle():
         assert mask.kept == tuple(sorted(expected))
 
 
+def _pairwise_prune_oracle(dense, scores, threshold):
+    """The pairwise ``_pearson`` loop that the blocked product replaced."""
+    thr = min(threshold, 1.0)
+    duplicates_only = thr >= 1.0
+    order = sorted(range(dense.shape[1]), key=lambda j: (-scores[j], j))
+    columns = np.ascontiguousarray(dense.T)
+    kept_order: list[int] = []
+    for j in order:
+        redundant = False
+        for k in kept_order:
+            r = _pearson(columns[j], columns[k])
+            if (r >= 1.0 - _DUPLICATE_EPS) if duplicates_only else (r > thr):
+                redundant = True
+                break
+        if not redundant:
+            kept_order.append(j)
+    return tuple(sorted(kept_order))
+
+
+def _redundant_matrix(rng, n, v):
+    """Random columns plus clones, all-zero, constant and tiny-norm ones."""
+    dense = rng.random((n, v)) * (rng.random((n, v)) < rng.uniform(0.2, 0.9))
+    if rng.random() < 0.5:
+        dense = np.round(dense, 1)
+    kind = rng.random(v)
+    dense[:, kind < 0.1] = 0.0
+    constant = (kind >= 0.1) & (kind < 0.2)
+    dense[:, constant] = rng.choice([0.1, 1.0 / 3.0, 7.0], constant.sum())
+    clones = kind >= 0.75
+    sources = rng.integers(0, v, clones.sum())
+    dense[:, clones] = dense[:, sources] * rng.choice([1.0, 0.5, 3.0], clones.sum())
+    dense[:, (kind >= 0.2) & (kind < 0.22)] *= 1e-80
+    return dense
+
+
+def test_correlation_prune_matches_the_pairwise_loop_across_block_sizes(monkeypatch):
+    rng = np.random.default_rng(61)
+    for trial in range(100):
+        n = int(rng.integers(4, 40))
+        v = 300 if trial % 20 == 0 else int(rng.integers(2, 60))
+        dense = _redundant_matrix(rng, n, v)
+        scores = np.round(rng.random(v), 1)
+        a, b = rng.choice(v, 2)
+        threshold = float(rng.choice([
+            0.5, 0.8, 0.95, 1.0, 1.5, rng.uniform(0.3, 1.0),
+            _pearson(dense[:, a], dense[:, b]),
+        ]))
+        expected = _pairwise_prune_oracle(dense, scores, threshold)
+        matrix = _matrix(dense)
+        for block in (1, 7, 128):
+            monkeypatch.setattr(select, "_CORR_BLOCK", block)
+            mask = correlation_prune(matrix, _scored(v, scores), threshold)
+            assert mask.kept == expected, (trial, block, threshold)
+
+
+def test_blocked_correlations_sit_far_inside_the_recheck_margin(monkeypatch):
+    rng = np.random.default_rng(67)
+    monkeypatch.setattr(select, "_CORR_BLOCK", 7)
+    for _ in range(30):
+        dense = _redundant_matrix(rng, int(rng.integers(4, 40)), int(rng.integers(2, 40)))
+        cols = np.ascontiguousarray(dense.T)
+        for start, block in _correlation_blocks(cols):
+            for i, row in enumerate(block):
+                for q, r in enumerate(row):
+                    if not math.isnan(r):
+                        assert abs(r - _pearson(cols[start + i], cols[q])) <= 1e-12
+
+
+def test_correlation_prune_tie_rule_at_the_threshold():
+    """A correlation equal to the threshold is not above it; one ulp lower is."""
+    rng = np.random.default_rng(71)
+    for _ in range(60):
+        n = int(rng.integers(5, 200))
+        x = rng.random(n)
+        y = rng.random(n) + rng.uniform(0.0, 3.0) * x
+        r = _pearson(x, y)
+        matrix = _matrix(np.column_stack([x, y]))
+        at = correlation_prune(matrix, _scored(2, [0.9, 0.5]), threshold=r)
+        assert at.kept == (0, 1)
+        below = correlation_prune(matrix, _scored(2, [0.9, 0.5]), np.nextafter(r, -np.inf))
+        assert below.kept == (0,)
+
+
 # ---------------------------------------------------------------------------
 # Full cascade
 # ---------------------------------------------------------------------------
@@ -462,6 +549,28 @@ def test_selection_config_validation():
         SelectionConfig(min_df=0)
     with pytest.raises(DimensionMismatch):
         SelectionConfig(lexical_filters=frozenset({"bogus"}))
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"corr_threshold": math.nan},
+        {"max_df_ratio": math.nan},
+        {"mi_top_ratio": math.nan},
+        {"mi_top_ratio": math.inf},
+        {"mi_top_ratio": -math.inf},
+    ],
+)
+def test_selection_config_rejects_non_finite_ratios(setting):
+    with pytest.raises(DimensionMismatch):
+        SelectionConfig(**setting)
+
+
+def test_infinite_corr_threshold_is_accepted_and_prunes_only_duplicates():
+    assert SelectionConfig(corr_threshold=math.inf).corr_threshold == math.inf
+    dense = [[1, 1, 1], [2, 2, 2], [3, 3, 3], [4, 4, 4.5]]
+    mask = correlation_prune(_matrix(dense), _scored(3, [0.9, 0.5, 0.1]), math.inf)
+    assert mask.kept == (0, 2)
 
 
 def test_selection_mask_invariants():
