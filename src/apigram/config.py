@@ -129,8 +129,11 @@ class PipelineConfig:
         if self["eval.average"] not in ("macro", "weighted"):
             raise ConfigError("eval.average must be macro or weighted")
         sizes = self["ngram.sizes"]
-        if not sizes or any(n not in (1, 2, 3) for n in sizes):
+        if not sizes or any(n not in (1, 2, 3) for n in sizes) or len(set(sizes)) != len(sizes):
             raise ConfigError("ngram.sizes must be a non-empty subset of 1,2,3")
+        max_args = self["ngram.max_args"]
+        if not isinstance(max_args, int) or isinstance(max_args, bool) or max_args < 0:
+            raise ConfigError(f"ngram.max_args must be an integer >= 0, got {max_args!r}")
         valid_active = {str(n) for n in sizes} | ({"union"} if self["ngram.combine"] else set())
         if self["ngram.active"] not in valid_active:
             raise ConfigError(

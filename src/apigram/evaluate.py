@@ -180,19 +180,6 @@ def write_confusion(path: str | Path, report: EvalReport) -> None:
             writer.writerow(list(row))
 
 
-def read_confusion(path: str | Path) -> tuple[tuple[int, ...], ...]:
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header != [label.value for label in ALL_LABELS]:
-                raise ValueError(f"unexpected header {header!r}")
-            rows = [tuple(int(v) for v in row) for row in reader]
-    except (OSError, ValueError, StopIteration) as exc:
-        raise IoFailure(f"cannot read confusion matrix {path}: {exc}") from exc
-    return tuple(rows)
-
-
 _CELL = 46
 _LEFT = 130
 _TOP = 96

@@ -3,8 +3,7 @@
 Accepts the Cuckoo 2.x report layout (``behavior`` -> ``processes[]`` ->
 ``calls[]``) with case-insensitive keys and tolerance for extra fields.
 Each sample becomes a :class:`BehaviorReport` whose call sequence
-concatenates all processes' calls in report order, and can be partitioned
-into the four element streams (category / name / arguments / return).
+concatenates all processes' calls in report order.
 
 Ingest stores each report as one plain-record ``corpus.jsonl`` line, which
 featurize reads back by indexing, without that tolerant parser.
@@ -188,17 +187,6 @@ def parse_report(raw: bytes | str, label: ClassLabel, sample_id: str) -> Behavio
     return report
 
 
-def partition_elements(
-    report: BehaviorReport,
-) -> tuple[list[str], list[str], list[tuple[str, ...]], list[str]]:
-    """Split a report into the four index-aligned element streams."""
-    categories = [c.category for c in report.calls]
-    names = [c.name for c in report.calls]
-    argument_lists = [c.arguments for c in report.calls]
-    returns = [c.return_value for c in report.calls]
-    return categories, names, argument_lists, returns
-
-
 # ---------------------------------------------------------------------------
 # corpus.jsonl lines
 # ---------------------------------------------------------------------------
@@ -283,10 +271,10 @@ def write_manifest(path: str | Path, rows: list[tuple[str, str, str]]) -> None:
         writer.writerows(rows)
 
 
-def load_corpus(manifest_path: str | Path, keep_empty: bool = False) -> list[BehaviorReport]:
+def load_corpus(manifest_path: str | Path) -> list[BehaviorReport]:
     """Parse every report named in the manifest, in manifest order.
 
-    Empty traces are dropped (with a warning) unless ``keep_empty`` is set.
+    Reports with an empty trace are dropped with a warning.
     """
     reports: list[BehaviorReport] = []
     for sample_id, label, report_path in load_manifest(manifest_path):
@@ -296,32 +284,6 @@ def load_corpus(manifest_path: str | Path, keep_empty: bool = False) -> list[Beh
             raise IoFailure(f"cannot read report {report_path}: {exc}") from exc
         try:
             reports.append(parse_report(raw, label, sample_id))
-        except EmptyTrace as exc:
+        except EmptyTrace:
             logger.warning("sample %s has an empty trace", sample_id)
-            if keep_empty:
-                reports.append(exc.report)
     return reports
-
-
-# ---------------------------------------------------------------------------
-# Element files (one call per line; argument lists tab-joined)
-# ---------------------------------------------------------------------------
-
-def write_element_files(report: BehaviorReport, out_dir: str | Path) -> list[Path]:
-    """Write the four per-sample element text files and return their paths."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    categories, names, argument_lists, returns = partition_elements(report)
-    streams = {
-        "category": categories,
-        "name": names,
-        "argument": ["\t".join(args) for args in argument_lists],
-        "return": returns,
-    }
-    paths = []
-    for element, lines in streams.items():
-        target = out_dir / f"{report.sample_id}.{element}.txt"
-        text = "".join(line + "\n" for line in lines)
-        target.write_text(text, encoding="utf-8")
-        paths.append(target)
-    return paths

@@ -241,17 +241,14 @@ def _learner_kind(kind: ModelKind):
 def train(
     kind: ModelKind,
     matrix: FeatureMatrix,
-    labels: list[ClassLabel] | None = None,
     params: HyperParams | None = None,
 ) -> TrainedModel:
-    """Fit one learner; deterministic given the data order and seed."""
-    if labels is None:
-        labels = list(matrix.labels)
-    if len(labels) != matrix.n_rows:
-        raise DimensionMismatch("labels do not align with matrix rows")
+    """Fit one learner on ``matrix`` and its row labels; deterministic given
+    the data order and seed."""
     if matrix.n_rows == 0 or matrix.n_cols == 0:
         raise DegenerateData("training needs at least one row and one feature")
-    if len({label.ordinal for label in labels}) < 2:
+    y = np.array([label.ordinal for label in matrix.labels], dtype=np.int64)
+    if np.unique(y).size < 2:
         raise DegenerateData("training needs at least two distinct classes")
     bad = np.flatnonzero(~np.isfinite(matrix.data))
     if bad.size:
@@ -260,7 +257,6 @@ def train(
 
     params = params or HyperParams()
     resolved = params.resolve(kind)
-    y = np.array([label.ordinal for label in labels], dtype=np.int64)
 
     fit, _ = _learner_kind(kind)
     learner = fit(matrix, y, resolved, params.seed)

@@ -11,13 +11,13 @@ from __future__ import annotations
 import csv
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import AllFeaturesRemoved, DimensionMismatch, IoFailure
-from .labels import ClassLabel, N_CLASSES
+from .labels import N_CLASSES
 from .tokens import NGRAM_JOINER, TOKEN_JOINER, Vocabulary
 from .vectorize import FeatureMatrix
 
@@ -222,13 +222,6 @@ def mutual_information_all(matrix: FeatureMatrix) -> np.ndarray:
     mi = cell_terms(present_c, n_present).sum(axis=1)
     mi += cell_terms(absent_c, n_absent).sum(axis=1)
     return np.maximum(mi, 0.0)
-
-
-def mutual_information(matrix: FeatureMatrix, labels: list[ClassLabel], feature: int) -> float:
-    """MI of one column; ``labels`` must match the matrix rows."""
-    if tuple(labels) != matrix.labels:
-        matrix = replace(matrix, labels=tuple(labels))
-    return float(mutual_information_all(matrix)[feature])
 
 
 def rank_by_mi(matrix: FeatureMatrix, candidates: SelectionMask, keep: int) -> SelectionMask:

@@ -69,11 +69,6 @@ def extract_ngrams(tokens: list[str] | tuple[str, ...], n: int) -> list[str]:
     return [NGRAM_JOINER.join(tokens[i:i + n]) for i in range(len(tokens) - n + 1)]
 
 
-def tokenize_report(report: BehaviorReport, max_args: int = 2) -> list[str]:
-    """Canonical token sequence of a report's full call trace."""
-    return [canonical_token(call, max_args) for call in report.calls]
-
-
 def report_ngrams(
     report: BehaviorReport,
     n: int,
@@ -203,34 +198,6 @@ def write_ngram_counts(path: str | Path, documents: list[TokenDocument]) -> None
         for doc in documents:
             for term in sorted(doc.counts):
                 writer.writerow([doc.sample_id, doc.label.value, term, doc.counts[term]])
-
-
-def read_ngram_counts(path: str | Path) -> list[TokenDocument]:
-    """Rebuild documents from a counts CSV, preserving first-seen order."""
-    order: list[str] = []
-    labels: dict[str, ClassLabel] = {}
-    counts: dict[str, dict[str, int]] = {}
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                sid = row["sample_id"]
-                if sid not in counts:
-                    order.append(sid)
-                    labels[sid] = ClassLabel.from_name(row["label"])
-                    counts[sid] = {}
-                counts[sid][row["ngram"]] = int(row["count"])
-    except (OSError, KeyError, ValueError) as exc:
-        raise IoFailure(f"cannot read n-gram counts {path}: {exc}") from exc
-    return [
-        TokenDocument(
-            sample_id=sid,
-            label=labels[sid],
-            counts=counts[sid],
-            total=sum(counts[sid].values()),
-        )
-        for sid in order
-    ]
 
 
 def write_vocabulary(path: str | Path, vocabulary: Vocabulary) -> None:

@@ -160,6 +160,20 @@ def test_malformed_set_item_reports_a_config_error(tmp_path, capsys):
     assert _error_line(capsys)["error"] == "ConfigError"
 
 
+def test_negative_max_args_reports_a_config_error(tmp_path, capsys):
+    assert _run("featurize", "--workdir", str(tmp_path / "w"), "--ngram-max-args", "-1") == 2
+    assert _error_line(capsys)["error"] == "ConfigError"
+    assert PipelineConfig({"ngram.max_args": 0})["ngram.max_args"] == 0
+
+
+def test_repeated_ngram_sizes_report_a_config_error(tmp_path, capsys):
+    argv = ("featurize", "--workdir", str(tmp_path / "w"), "--ngram-combine", "true")
+    assert _run(*argv, "--ngram-sizes", "1,1") == 2
+    payload = _error_line(capsys)
+    assert payload["error"] == "ConfigError"
+    assert "subset" in payload["message"]
+
+
 def test_non_object_corpus_line_reports_malformed_json(tmp_path, capsys):
     workdir = tmp_path / "w"
     workdir.mkdir()

@@ -12,12 +12,10 @@ from apigram.ingest import (
     load_corpus,
     load_manifest,
     parse_report,
-    partition_elements,
     report_from_json_line,
     report_to_json_bytes,
     stringify_value,
     normalize_arguments,
-    write_element_files,
     write_manifest,
 )
 from apigram.labels import ALL_LABELS, ClassLabel
@@ -151,31 +149,6 @@ def test_empty_trace_raises_and_carries_parsed_report():
     assert carried.process_call_counts == (0, 0)
 
 
-def test_partition_elements_single_call():
-    report = parse_report(
-        _raw([{"calls": [{"api": "NtClose", "category": "system", "arguments": ["h"], "return": 1}]}]),
-        ClassLabel.BENIGN,
-        "one",
-    )
-    categories, names, argument_lists, returns = partition_elements(report)
-    assert categories == ["system"]
-    assert names == ["NtClose"]
-    assert argument_lists == [("h",)]
-    assert returns == ["1"]
-
-
-def test_partition_elements_seven_calls_streams_align():
-    report = parse_report(_seven_call_report(), ClassLabel.TROJAN, "seven")
-    streams = partition_elements(report)
-    assert all(len(stream) == len(report.calls) == 7 for stream in streams)
-    assert streams[1] == SEVEN_NAMES
-
-
-def test_partition_elements_empty_report():
-    report = BehaviorReport("none", ClassLabel.BENIGN, calls=(), process_call_counts=())
-    assert partition_elements(report) == ([], [], [], [])
-
-
 def test_parse_is_deterministic():
     raw = _seven_call_report()
     assert parse_report(raw, ClassLabel.TROJAN, "d") == parse_report(raw, ClassLabel.TROJAN, "d")
@@ -290,7 +263,7 @@ def test_load_corpus_preserves_manifest_order(tmp_path):
     assert [r.sample_id for r in load_corpus(manifest)] == [f"s{i}" for i in range(12)]
 
 
-def test_load_corpus_drops_empty_traces_unless_kept(tmp_path):
+def test_load_corpus_drops_empty_traces(tmp_path):
     (tmp_path / "full.json").write_bytes(_raw([{"calls": [{"api": "NtClose"}]}]))
     (tmp_path / "void.json").write_bytes(_raw([{"calls": []}]))
     write_manifest(tmp_path / "manifest.csv", [
@@ -299,25 +272,3 @@ def test_load_corpus_drops_empty_traces_unless_kept(tmp_path):
     ])
     dropped = load_corpus(tmp_path / "manifest.csv")
     assert [r.sample_id for r in dropped] == ["full"]
-    kept = load_corpus(tmp_path / "manifest.csv", keep_empty=True)
-    assert [r.sample_id for r in kept] == ["full", "void"]
-    assert kept[1].calls == ()
-
-
-def test_write_element_files_layout(tmp_path):
-    raw = _raw([{"calls": [
-        {"api": "LdrLoadDll", "category": "system", "arguments": ["urlmon", "urlmon.dll"], "return": 0},
-        {"api": "NtClose", "category": "handles", "arguments": [], "return": 1},
-    ]}])
-    report = parse_report(raw, ClassLabel.BENIGN, "elem")
-    paths = write_element_files(report, tmp_path)
-    names = sorted(p.name for p in paths)
-    assert names == [
-        "elem.argument.txt",
-        "elem.category.txt",
-        "elem.name.txt",
-        "elem.return.txt",
-    ]
-    assert (tmp_path / "elem.name.txt").read_text() == "LdrLoadDll\nNtClose\n"
-    assert (tmp_path / "elem.argument.txt").read_text() == "urlmon\turlmon.dll\n\n"
-    assert (tmp_path / "elem.return.txt").read_text() == "0\n1\n"

@@ -115,12 +115,6 @@ def test_training_rejects_out_of_range_column_indices():
         )
 
 
-def test_training_rejects_misaligned_labels():
-    matrix = _matrix([[1.0], [2.0]], [ClassLabel.TROJAN, ClassLabel.BENIGN])
-    with pytest.raises(DimensionMismatch):
-        train(ModelKind.DECISION_TREE, matrix, labels=[ClassLabel.TROJAN])
-
-
 def test_hyperparams_reject_unknown_keys_and_bad_ranges():
     matrix = _matrix([[1.0], [2.0]], [ClassLabel.TROJAN, ClassLabel.BENIGN])
     bad = [

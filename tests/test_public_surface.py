@@ -1,0 +1,39 @@
+"""The exported names: every ``__all__`` entry resolves, and removed helpers stay gone."""
+from __future__ import annotations
+
+import importlib
+import inspect
+
+import pytest
+
+import apigram
+import apigram.models
+
+REMOVED = {
+    "apigram": ("mutual_information", "partition_elements", "tokenize_report"),
+    "apigram.ingest": ("partition_elements", "write_element_files"),
+    "apigram.tokens": ("read_ngram_counts", "tokenize_report"),
+    "apigram.evaluate": ("read_confusion",),
+    "apigram.select": ("mutual_information",),
+}
+
+
+@pytest.mark.parametrize("package", [apigram, apigram.models], ids=lambda p: p.__name__)
+def test_every_exported_name_resolves_once(package):
+    names = package.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert getattr(package, name, None) is not None, name
+
+
+@pytest.mark.parametrize("module_name", sorted(REMOVED))
+def test_removed_helpers_are_gone(module_name):
+    # importlib: the package rebinds ``apigram.evaluate`` to the function.
+    module = importlib.import_module(module_name)
+    for name in REMOVED[module_name]:
+        assert not hasattr(module, name), name
+
+
+def test_removed_parameters_are_gone():
+    assert "labels" not in inspect.signature(apigram.models.train).parameters
+    assert "keep_empty" not in inspect.signature(apigram.load_corpus).parameters

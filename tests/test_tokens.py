@@ -1,6 +1,7 @@
 """Canonical tokens, n-gram windows, vocabularies, and their CSV forms."""
 from __future__ import annotations
 
+import csv
 from collections import Counter
 
 import numpy as np
@@ -16,11 +17,9 @@ from apigram.tokens import (
     documents_for_n,
     extract_ngrams,
     merge_documents,
-    read_ngram_counts,
     read_vocabulary,
     report_ngrams,
     sanitize_segment,
-    tokenize_report,
     write_ngram_counts,
     write_vocabulary,
 )
@@ -191,10 +190,18 @@ def test_ngram_counts_csv_round_trip(tmp_path):
     ]
     path = tmp_path / "ngrams.csv"
     write_ngram_counts(path, docs)
-    header = path.read_text().splitlines()[0]
-    assert header == "sample_id,label,ngram,count"
-    again = read_ngram_counts(path)
-    assert again == docs
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["sample_id", "label", "ngram", "count"]
+    assert rows == [
+        ["a", ClassLabel.ADWARE.value, "X", "2"],
+        ["a", ClassLabel.ADWARE.value, "Y", "1"],
+        ["b", ClassLabel.WORM.value, "Z", "4"],
+    ]
+    for doc in docs:
+        counts = {row[2]: int(row[3]) for row in rows if row[0] == doc.sample_id}
+        assert counts == doc.counts
+        assert sum(counts.values()) == doc.total
 
 
 def test_vocabulary_csv_round_trip(tmp_path):
@@ -209,4 +216,4 @@ def test_vocabulary_csv_round_trip(tmp_path):
 
 def test_tokenize_report_uses_trace_order():
     report = _report([("B", ("x",)), ("A", ())])
-    assert tokenize_report(report) == ["B_x", "A_na"]
+    assert report_ngrams(report, 1) == ["B_x", "A_na"]
