@@ -23,17 +23,9 @@ class MissingBehaviorSection(PipelineError):
 
 
 class EmptyTrace(PipelineError):
-    """Report parsed fine but contains zero API calls.
-
-    The parsed (empty) report is attached so the caller can decide whether
-    to keep or drop the sample.
-    """
+    """Report parsed fine but contains zero API calls."""
 
     code = "EmptyTrace"
-
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report
 
 
 # --- tokenizer / vectorizer ------------------------------------------------

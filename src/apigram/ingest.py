@@ -144,8 +144,7 @@ def parse_report(raw: bytes | str, label: ClassLabel, sample_id: str) -> Behavio
 
     Raises :class:`MalformedJson` on undecodable input,
     :class:`MissingBehaviorSection` when no per-process call lists exist,
-    and :class:`EmptyTrace` (carrying the parsed report) when every call
-    list is empty.
+    and :class:`EmptyTrace` when every call list is empty.
     """
     try:
         document = json.loads(raw)
@@ -176,15 +175,14 @@ def parse_report(raw: bytes | str, label: ClassLabel, sample_id: str) -> Behavio
                 calls.append(record)
         counts.append(len(calls) - n_before)
 
-    report = BehaviorReport(
+    if not calls:
+        raise EmptyTrace(f"{sample_id}: report contains zero API calls")
+    return BehaviorReport(
         sample_id=sample_id,
         label=label,
         calls=tuple(calls),
         process_call_counts=tuple(counts),
     )
-    if not calls:
-        raise EmptyTrace(f"{sample_id}: report contains zero API calls", report=report)
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 from ..labels import N_CLASSES
 from ..vectorize import FeatureMatrix
 from .base import Learner
-from .cart import grow_regression_tree, leaf_table, tree_apply
+from .cart import grow_regression_tree, leaf_table, presort, tree_apply
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -81,6 +81,7 @@ def fit(
     depth = int(params["max_depth"])
     min_leaf = int(params["min_samples_leaf"])
 
+    sorted_columns = presort(X)
     F = np.zeros((n, len(heads)), dtype=np.float64)
     true_cols = np.array([head_of[int(c)] for c in y])
 
@@ -96,7 +97,7 @@ def fit(
         for i in range(len(heads)):
             g = P[:, i] - Y[:, i]
             h = P[:, i] * (1.0 - P[:, i])
-            nodes = grow_regression_tree(X, g, h, depth, min_leaf, lam)
+            nodes = grow_regression_tree(X, g, h, depth, min_leaf, lam, sorted_columns)
             round_trees.append(nodes)
         for i, nodes in enumerate(round_trees):
             F[:, i] += lr * _tree_values(nodes, X)

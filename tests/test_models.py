@@ -17,7 +17,7 @@ from apigram.errors import (
     VersionMismatch,
 )
 from apigram.labels import ALL_LABELS, ClassLabel
-from apigram.models import cart
+from apigram.models import cart, forest
 from apigram.models import (
     ClassDistribution,
     HyperParams,
@@ -235,6 +235,18 @@ def _brute_force_split(X, idx, features, min_leaf, rate):
     return best
 
 
+def _node_rows_presorted(X, idx):
+    """The presorted sort of the node ``idx``: the root state of X,
+    partitioned so that its first ``idx.size`` places hold the node."""
+    state = cart.presort(X)
+    features = np.arange(X.shape[1])
+    side = np.zeros(X.shape[0], dtype=bool)
+    side[idx] = True
+    if idx.size < X.shape[0]:
+        features, _ = cart._partition(state, features, side, 0, idx.size, X.shape[0])
+    return cart._presorted(state, features, 0, idx.size)
+
+
 @pytest.mark.parametrize("block_elements", [None, 1, 40])
 def test_split_search_matches_brute_force_enumeration(monkeypatch, block_elements):
     if block_elements is not None:
@@ -265,12 +277,176 @@ def test_split_search_matches_brute_force_enumeration(monkeypatch, block_element
 
         onehot = np.eye(8, dtype=np.int64)[y]
         gh = np.column_stack((g, h))
-        for stats, score, rate in (
-            (onehot, cart._gini_score, gini),
-            (gh, lambda cum: cart._newton_score(cum, lam), newton),
+        expected = {
+            "gini": _brute_force_split(X, idx, features, min_leaf, gini),
+            "newton": _brute_force_split(X, idx, features, min_leaf, newton),
+        }
+        # Both sort paths: the node's own argsort (any row order) and the
+        # presorted columns, which search every feature.
+        for sort_block, candidates, wanted in (
+            (cart._argsorted(X, idx), features, expected),
+            (_node_rows_presorted(X, np.sort(idx)), np.arange(6), {
+                "gini": _brute_force_split(X, idx, range(6), min_leaf, gini),
+                "newton": _brute_force_split(X, idx, range(6), min_leaf, newton),
+            }),
         ):
-            got = cart._best_split(X, stats, idx, features, min_leaf, score)
-            assert got == _brute_force_split(X, idx, features, min_leaf, rate)
+            for stats, score, rate in (
+                (onehot, cart._gini_score, "gini"),
+                (gh, lambda l, r, nl, nr: cart._newton_score(l, r, lam), "newton"),
+            ):
+                got = cart._best_split(stats, idx.size, candidates, sort_block, min_leaf, score)
+                assert got == wanted[rate]
+
+
+# The split engine as it was before presorting: every node gathers its rows
+# of each block of candidate columns, stable-argsorts them and scores every
+# boundary. It is the reference the presorted engine must reproduce bit for
+# bit.
+
+def _reference_gini_score(cum):
+    n = cum.shape[0]
+    left = cum[:-1]
+    total = cum[-1, 0]
+    left_sq = np.einsum("bfk,bfk->bf", left, left)
+    right_sq = total @ total - 2 * (left @ total) + left_sq
+    nl = np.arange(1, n, dtype=np.float64)[:, np.newaxis]
+    return left_sq / nl + right_sq / (n - nl)
+
+
+def _reference_newton_score(cum, lam):
+    gl, hl = cum[:-1, :, 0], cum[:-1, :, 1]
+    return gl ** 2 / (hl + lam) + (cum[-1, :, 0] - gl) ** 2 / (cum[-1, :, 1] - hl + lam)
+
+
+def _reference_best_split(X, stats, idx, features, min_leaf, score):
+    n = idx.size
+    if n < 2:
+        return None
+    node_stats = stats[idx]
+    nl = np.arange(1, n)
+    sizes_ok = ((nl >= min_leaf) & (n - nl >= min_leaf))[:, np.newaxis]
+    width = max(1, cart._BLOCK_ELEMENTS // (n * stats.shape[1]))
+    best = None
+    for start in range(0, features.size, width):
+        block = features[start:start + width]
+        M = X[np.ix_(idx, block)]
+        order = np.argsort(M, axis=0, kind="stable")
+        sv = np.take_along_axis(M, order, axis=0)
+        valid = (sv[:-1] < sv[1:]) & sizes_ok
+        if not valid.any():
+            continue
+        cum = np.take(node_stats, order, axis=0)
+        np.cumsum(cum, axis=0, out=cum)
+        st = np.where(valid, score(cum), -np.inf).T
+        f, b = divmod(int(np.argmax(st)), n - 1)
+        if best is None or st[f, b] > best[0]:
+            best = (float(st[f, b]), int(block[f]), float((sv[b, f] + sv[b + 1, f]) / 2.0))
+    return best if best is not None and np.isfinite(best[0]) else None
+
+
+def _reference_grow(X, stats, leaf, score, min_gain, max_depth, min_samples_leaf, features=None):
+    all_features = np.arange(X.shape[1])
+    nodes = []
+    stack = [(np.arange(X.shape[0]), 0, -1)]
+    while stack:
+        idx, depth, pos = stack.pop()
+        node, parent_score, splittable = leaf(idx)
+        depth_capped = max_depth > 0 and depth >= max_depth
+        split = None
+        if splittable and not depth_capped and idx.size >= 2 * min_samples_leaf:
+            candidates = all_features if features is None else features()
+            split = _reference_best_split(X, stats, idx, candidates, min_samples_leaf, score)
+            if split is not None and split[0] <= parent_score + min_gain:
+                split = None
+        if split is not None:
+            _, j, threshold = split
+            node = {"f": j, "t": threshold, "l": -1, "r": -1}
+            mask = X[idx, j] <= threshold
+            stack.append((idx[~mask], depth + 1, len(nodes) * 2 + 1))
+            stack.append((idx[mask], depth + 1, len(nodes) * 2))
+        nodes.append(node)
+        if pos != -1:
+            nodes[pos // 2]["l" if pos % 2 == 0 else "r"] = len(nodes) - 1
+    return nodes
+
+
+def _reference_classification_tree(X, y, max_depth, min_samples_leaf,
+                                   feature_selector=None, rng=None):
+    y_onehot = np.zeros((y.size, 8), dtype=np.int64)
+    y_onehot[np.arange(y.size), y] = 1
+
+    def leaf(idx):
+        counts = np.bincount(y[idx], minlength=8)
+        parent_score = float((counts.astype(np.float64) ** 2).sum()) / idx.size
+        return {"c": counts.tolist()}, parent_score, int((counts > 0).sum()) > 1
+
+    features = None if feature_selector is None else (lambda: feature_selector(rng))
+    return _reference_grow(X, y_onehot, leaf, _reference_gini_score, cart._MIN_GAIN,
+                           max_depth, min_samples_leaf, features)
+
+
+def _reference_regression_tree(X, g, h, max_depth, min_samples_leaf, lam):
+    def leaf(idx):
+        g_sum = float(g[idx].sum())
+        h_sum = float(h[idx].sum())
+        return {"v": -g_sum / (h_sum + lam)}, g_sum * g_sum / (h_sum + lam), True
+
+    return _reference_grow(X, np.column_stack((g, h)), leaf,
+                           lambda cum: _reference_newton_score(cum, lam),
+                           cart._MIN_GAIN_REGRESSION, max_depth, min_samples_leaf)
+
+
+def _tie_heavy(rng):
+    """A small TF-IDF-like matrix: mostly zeros, the rest from a few values."""
+    n = int(rng.integers(2, 41))
+    dense = rng.choice([0.25, 0.5, 1.0, 1.5], size=(n, int(rng.integers(1, 9))))
+    dense[rng.random(dense.shape) < 0.6] = 0.0
+    return dense
+
+
+@pytest.mark.parametrize("block_elements", [None, 1, 40])
+def test_presorted_engine_grows_the_per_node_argsort_trees(monkeypatch, block_elements):
+    if block_elements is not None:
+        monkeypatch.setattr(cart, "_BLOCK_ELEMENTS", block_elements)
+    rng = np.random.default_rng(193)
+    for case in range(100):
+        X = _tie_heavy(rng)
+        n = X.shape[0]
+        y = rng.integers(0, 8, size=n)
+        max_depth = int(rng.choice([0, 1, 6]))
+        min_leaf = int(rng.integers(1, 5))
+
+        assert cart.grow_classification_tree(X, y, max_depth, min_leaf) == \
+            _reference_classification_tree(X, y, max_depth, min_leaf)
+
+        # Successive (g, h) over one presorted root, as boosting rounds
+        # use it; lam 0 with zero hessians makes infinite and NaN scores.
+        root = cart.presort(X)
+        before = [part.copy() for part in root]
+        lam = 0.0 if case % 5 == 0 else 1.0
+        for _ in range(3):
+            p = rng.random(n)
+            p[rng.random(n) < 0.2] = 1.0
+            g, h = p - (rng.random(n) < 0.5), p * (1.0 - p)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                assert cart.grow_regression_tree(X, g, h, max_depth, min_leaf, lam, root) == \
+                    _reference_regression_tree(X, g, h, max_depth, min_leaf, lam)
+        assert all(np.array_equal(a, b) for a, b in zip(root, before))
+
+        if np.unique(y).size < 2:
+            continue
+        params = {
+            "n_trees": 2,
+            "max_features": ["sqrt", "all"][case % 2],
+            "bootstrap": case % 4 < 2,
+            "max_depth": max_depth,
+            "min_samples_leaf": min_leaf,
+        }
+        matrix = _matrix(X, [ALL_LABELS[c] for c in y])
+        got = forest.fit(matrix, y, params, seed=case).trees
+        with monkeypatch.context() as patch:
+            patch.setattr(forest, "grow_classification_tree", _reference_classification_tree)
+            assert got == forest.fit(matrix, y, params, seed=case).trees
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
-"""The exported names: every ``__all__`` entry resolves, and removed helpers stay gone."""
+"""The exported names: every ``__all__`` entry resolves, removed helpers stay
+gone, and every function the benchmark's tracer wraps still exists."""
 from __future__ import annotations
 
 import importlib
+import importlib.util
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -37,3 +40,18 @@ def test_removed_helpers_are_gone(module_name):
 def test_removed_parameters_are_gone():
     assert "labels" not in inspect.signature(apigram.models.train).parameters
     assert "keep_empty" not in inspect.signature(apigram.load_corpus).parameters
+
+
+def test_every_traced_attribute_resolves():
+    # The benchmark's tracer wraps these by name and only reports a missing
+    # one as absent; a rename must fail here instead.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.WRAPS
+    for module_name, attribute, _ in tracer.WRAPS:
+        owner = importlib.import_module(module_name)
+        for part in attribute.split("."):
+            owner = getattr(owner, part, None)
+        assert callable(owner), f"{module_name}.{attribute}"
