@@ -12,13 +12,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 from .config import SCHEMA, PipelineConfig, coerce, read_config
 from .errors import ConfigError, IoFailure, MalformedJson, MissingArtifact, PipelineError
 from .evaluate import SplitSpec, evaluate, emit_report, stratified_split
-from .ingest import load_corpus, report_from_json_line, report_to_json_bytes
+from .ingest import BehaviorReport, load_corpus, load_manifest, report_from_json_line, report_to_json_bytes
 from .models import HyperParams, ModelKind, load_model, save_model, train
 from .select import (
     SelectionConfig,
@@ -150,18 +152,18 @@ def _require(path: Path, producer: str) -> Path:
     return path
 
 
-def _read_reports(cfg: PipelineConfig):
+def _read_reports(cfg: PipelineConfig) -> Iterator[BehaviorReport]:
+    """Yield one report per ``corpus.jsonl`` line, reading the file line by line."""
     path = _require(cfg.workdir / "corpus.jsonl", "ingest")
-    reports = []
     with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                reports.append(report_from_json_line(line.decode("utf-8")))
+                report = report_from_json_line(line.decode("utf-8"))
             except (UnicodeDecodeError, MalformedJson) as exc:
                 raise MalformedJson(f"{path}:{line_no}: {exc}") from exc
-    return reports
+            yield report
 
 
 def _write_split(cfg: PipelineConfig, sample_ids, train_rows, test_rows) -> Path:
@@ -215,38 +217,56 @@ def cmd_synth(cfg: PipelineConfig) -> None:
 
 
 def cmd_ingest(cfg: PipelineConfig) -> None:
+    """Write ``corpus.jsonl`` one report at a time, through a temporary file
+    that replaces it only once every report has been parsed."""
     manifest = _require(cfg.manifest_path, "synth (or point io.manifest at a corpus)")
-    reports = load_corpus(manifest)
+    n_entries = len(load_manifest(manifest))
     out_path = cfg.workdir / "corpus.jsonl"
-    with open(out_path, "wb") as fh:
-        for report in reports:
-            fh.write(report_to_json_bytes(report) + b"\n")
-    print(f"ingest: parsed {len(reports)} reports -> {out_path}")
+    tmp_path = out_path.with_name(out_path.name + ".tmp")
+    n_reports = 0
+    try:
+        with open(tmp_path, "wb") as fh:
+            for report in load_corpus(manifest):
+                fh.write(report_to_json_bytes(report) + b"\n")
+                n_reports += 1
+        os.replace(tmp_path, out_path)
+    except BaseException:
+        tmp_path.unlink(missing_ok=True)
+        raise
+    print(
+        f"ingest: parsed {n_reports} reports, dropped {n_entries - n_reports} "
+        f"with an empty trace -> {out_path}"
+    )
 
 
 def cmd_featurize(cfg: PipelineConfig) -> None:
-    reports = _read_reports(cfg)
-    labels = [report.label for report in reports]
+    sizes = tuple(cfg["ngram.sizes"])
+    max_args = int(cfg["ngram.max_args"])
+    reset = bool(cfg["ngram.reset_at_process"])
+    labels, sample_ids = [], []
+    document_sets = {str(n): [] for n in sizes}
+    for report in _read_reports(cfg):
+        labels.append(report.label)
+        sample_ids.append(report.sample_id)
+        for n in sizes:
+            document_sets[str(n)].extend(documents_for_n([report], n, max_args, reset))
+
     spec = SplitSpec(
         train_ratio=float(cfg["split.train_ratio"]),
         seed=int(cfg["seed"]),
         stratified=bool(cfg["split.stratified"]),
     )
     train_rows, test_rows = stratified_split(labels, spec)
-    _write_split(cfg, [r.sample_id for r in reports], train_rows, test_rows)
+    _write_split(cfg, sample_ids, train_rows, test_rows)
 
-    sizes = tuple(cfg["ngram.sizes"])
-    max_args = int(cfg["ngram.max_args"])
-    reset = bool(cfg["ngram.reset_at_process"])
-    document_sets = {str(n): documents_for_n(reports, n, max_args, reset) for n in sizes}
     if cfg["ngram.combine"]:
-        document_sets["union"] = merge_documents([document_sets[str(n)] for n in sizes])
+        document_sets["union"] = merge_documents(list(document_sets.values()))
 
     summary = []
     for suffix, documents in document_sets.items():
         vocabulary = build_vocabulary([documents[i] for i in train_rows])
-        tfidf = tfidf_matrix(documents, vocabulary, l2=bool(cfg["vectorizer.l2"]))
         freq = frequency_matrix(documents, vocabulary)
+        tfidf = tfidf_matrix(documents, vocabulary, l2=bool(cfg["vectorizer.l2"]), counts=freq)
         workdir = cfg.workdir
         write_ngram_counts(workdir / f"ngrams_{suffix}.csv", documents)
         write_vocabulary(workdir / f"vocab_{suffix}.csv", vocabulary)
@@ -255,7 +275,7 @@ def cmd_featurize(cfg: PipelineConfig) -> None:
         write_labels(workdir / f"labels_{suffix}.csv", tfidf)
         summary.append(f"{suffix}:{len(vocabulary)}")
     print(
-        f"featurize: {len(reports)} docs, train {len(train_rows)} test {len(test_rows)}, "
+        f"featurize: {len(labels)} docs, train {len(train_rows)} test {len(test_rows)}, "
         f"vocabulary sizes {{{', '.join(summary)}}}"
     )
 

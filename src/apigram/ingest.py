@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -269,19 +270,20 @@ def write_manifest(path: str | Path, rows: list[tuple[str, str, str]]) -> None:
         writer.writerows(rows)
 
 
-def load_corpus(manifest_path: str | Path) -> list[BehaviorReport]:
-    """Parse every report named in the manifest, in manifest order.
+def load_corpus(manifest_path: str | Path) -> Iterator[BehaviorReport]:
+    """Parse the reports named in the manifest, yielding each in manifest order.
 
+    One report is parsed at a time and nothing is kept after it is yielded.
     Reports with an empty trace are dropped with a warning.
     """
-    reports: list[BehaviorReport] = []
     for sample_id, label, report_path in load_manifest(manifest_path):
         try:
             raw = report_path.read_bytes()
         except OSError as exc:
             raise IoFailure(f"cannot read report {report_path}: {exc}") from exc
         try:
-            reports.append(parse_report(raw, label, sample_id))
+            report = parse_report(raw, label, sample_id)
         except EmptyTrace:
             logger.warning("sample %s has an empty trace", sample_id)
-    return reports
+            continue
+        yield report

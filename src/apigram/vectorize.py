@@ -173,14 +173,17 @@ def tfidf_matrix(
     documents: list[TokenDocument],
     vocabulary: Vocabulary,
     l2: bool = False,
+    counts: FeatureMatrix | None = None,
 ) -> FeatureMatrix:
     """TF-IDF weights for each document against a fixed vocabulary.
 
     Terms outside the vocabulary are dropped but still count toward each
     document's occurrence total. Documents with zero occurrences become
-    all-zero rows.
+    all-zero rows. ``counts`` is ``frequency_matrix(documents, vocabulary)``
+    when the caller has already built it; it is counted here otherwise.
     """
-    counts = frequency_matrix(documents, vocabulary)
+    if counts is None:
+        counts = frequency_matrix(documents, vocabulary)
     idf_by_col = np.array([idf(df, vocabulary.n_docs) for df in vocabulary.df], dtype=np.float64)
     totals = np.array([doc.total for doc in documents], dtype=np.float64)
     weights = (counts.data / totals[counts.entry_rows()]) * idf_by_col[counts.indices]

@@ -2,12 +2,15 @@
 from __future__ import annotations
 
 import json
+import weakref
 
 import pytest
 
+from apigram import cli
 from apigram.cli import build_parser, main, resolve_config
 from apigram.config import SCHEMA, PipelineConfig, read_config, write_config
 from apigram.errors import ConfigError
+from apigram.ingest import load_manifest, report_from_json_line, write_manifest
 
 
 def _run(*argv):
@@ -257,6 +260,79 @@ def test_removed_threads_setting_is_rejected(tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["ingest", "--threads", "2"])
     assert excinfo.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# Streaming ingest and featurize
+# ---------------------------------------------------------------------------
+
+def _ingested(workdir):
+    """A tiny synthetic corpus, ingested into ``workdir/corpus.jsonl``."""
+    for command in ("synth", "ingest"):
+        assert _run(command, "--scale", "tiny", "--workdir", str(workdir), "--seed", "1") == 0
+    return workdir / "corpus.jsonl"
+
+
+def test_featurize_holds_one_report_at_a_time(tmp_path, monkeypatch):
+    workdir = tmp_path / "run"
+    n_lines = len(_ingested(workdir).read_bytes().splitlines())
+    parsed = []
+    still_alive = []
+
+    def recording_read(line):
+        # Only the report yielded just before may outlive its turn.
+        still_alive.extend(ref().sample_id for ref in parsed[:-1] if ref() is not None)
+        report = report_from_json_line(line)
+        parsed.append(weakref.ref(report))
+        return report
+
+    monkeypatch.setattr(cli, "report_from_json_line", recording_read)
+    assert _run("featurize", "--workdir", str(workdir), "--seed", "1") == 0
+    assert len(parsed) == n_lines
+    assert still_alive == []
+
+
+def test_malformed_last_corpus_line_writes_no_featurize_artifact(tmp_path, capsys):
+    workdir = tmp_path / "run"
+    corpus = _ingested(workdir)
+    lines = corpus.read_bytes().splitlines()
+    corpus.write_bytes(b"\n".join(lines[:-1] + [b'{"label":"Worm"}']) + b"\n")
+    capsys.readouterr()
+    assert _run("featurize", "--workdir", str(workdir), "--seed", "1") == 2
+    payload = _error_line(capsys)
+    assert payload["error"] == "MalformedJson"
+    assert f"corpus.jsonl:{len(lines)}:" in payload["message"]
+    featurized = ("split.csv", "ngrams_*", "vocab_*", "tfidf_*", "freq_*", "labels_*")
+    assert [p.name for pattern in featurized for p in workdir.glob(pattern)] == []
+
+
+def test_failed_ingest_leaves_the_previous_corpus_whole(tmp_path, capsys):
+    workdir = tmp_path / "run"
+    corpus = _ingested(workdir)
+    before = corpus.read_bytes()
+    listing = sorted(p.name for p in workdir.iterdir())
+    last_report = load_manifest(workdir / "manifest.csv")[-1][2]
+    last_report.unlink()
+    capsys.readouterr()
+    assert _run("ingest", "--workdir", str(workdir)) == 2
+    assert _error_line(capsys)["error"] == "IoFailure"
+    assert corpus.read_bytes() == before
+    assert sorted(p.name for p in workdir.iterdir()) == listing
+
+
+def test_ingest_summary_counts_the_dropped_empty_traces(tmp_path, capsys):
+    calls = {"behavior": {"processes": [{"calls": [{"api": "NtClose"}]}]}}
+    (tmp_path / "full.json").write_text(json.dumps(calls))
+    (tmp_path / "void.json").write_text(json.dumps({"behavior": {"processes": [{"calls": []}]}}))
+    write_manifest(tmp_path / "manifest.csv", [
+        ("a", "Benign", "full.json"),
+        ("b", "Worm", "void.json"),
+        ("c", "Worm", "full.json"),
+    ])
+    workdir = tmp_path / "run"
+    assert _run("ingest", "--manifest", str(tmp_path / "manifest.csv"), "--workdir", str(workdir)) == 0
+    assert "ingest: parsed 2 reports, dropped 1 with an empty trace" in capsys.readouterr().out
+    assert len((workdir / "corpus.jsonl").read_bytes().splitlines()) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import json
+import weakref
 
 import numpy as np
 import pytest
 
+from apigram import ingest
 from apigram.errors import EmptyTrace, IoFailure, MalformedJson, MissingBehaviorSection
 from apigram.ingest import (
     BehaviorReport,
@@ -267,3 +269,22 @@ def test_load_corpus_drops_empty_traces(tmp_path):
     ])
     dropped = load_corpus(tmp_path / "manifest.csv")
     assert [r.sample_id for r in dropped] == ["full"]
+
+
+def test_load_corpus_holds_one_report_at_a_time(tmp_path, monkeypatch):
+    manifest = _write_small_corpus(tmp_path, n=6)
+    parsed = []
+    still_alive = []
+
+    def recording_parse(raw, label, sample_id):
+        # Only the report yielded just before may outlive its turn.
+        still_alive.extend(ref().sample_id for ref in parsed[:-1] if ref() is not None)
+        report = parse_report(raw, label, sample_id)
+        parsed.append(weakref.ref(report))
+        return report
+
+    monkeypatch.setattr(ingest, "parse_report", recording_parse)
+    seen = [report.sample_id for report in load_corpus(manifest)]
+    assert seen == [f"s{i}" for i in range(6)]
+    assert len(parsed) == 6
+    assert still_alive == []

@@ -264,6 +264,6 @@ def test_write_corpus_round_trips_through_ingest(tmp_path):
     ]
     for (sid, raw, _), (_, _, path) in zip(corpus, entries):
         assert path.read_bytes() == raw
-    reports = load_corpus(manifest_path)
+    reports = list(load_corpus(manifest_path))
     assert [r.sample_id for r in reports] == [sid for sid, _, _ in corpus]
     assert [r.label for r in reports] == [label for _, _, label in corpus]
