@@ -75,14 +75,14 @@ def stringify_value(value) -> str:
     structures fall back to compact sorted-key JSON so the result is
     deterministic.
     """
+    if isinstance(value, str):
+        return value
     if value is None:
         return "na"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, float)):
         return repr(value)
-    if isinstance(value, str):
-        return value
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
@@ -124,18 +124,37 @@ def normalize_arguments(raw) -> tuple[str, ...]:
 # Report parsing
 # ---------------------------------------------------------------------------
 
+def _lowered_keys(obj: dict) -> dict:
+    """``obj`` keyed by its lower-cased string keys; among keys that differ
+    only in case, the first in dict order wins (it is written last)."""
+    return {key.lower(): value for key, value in reversed(obj.items()) if isinstance(key, str)}
+
+
+def _first_of(lowered: dict, keys: tuple[str, ...]):
+    """Value of the earliest of ``keys`` present in ``lowered``; None if absent.
+
+    Over ``_lowered_keys(obj)`` this is ``_ci_get(obj, keys)`` with the
+    lower-casing done once for all fields of a call.
+    """
+    for key in keys:
+        if key in lowered:
+            return lowered[key]
+    return None
+
+
 def _parse_call(obj) -> ApiCallRecord | None:
     if not isinstance(obj, dict):
         return None
-    name = _ci_get(obj, _NAME_KEYS)
+    fields = _lowered_keys(obj)
+    name = _first_of(fields, _NAME_KEYS)
     if not isinstance(name, str) or not name.strip():
         return None
-    category = _ci_get(obj, _CATEGORY_KEYS)
-    return_value = _ci_get(obj, _RETURN_KEYS)
+    category = _first_of(fields, _CATEGORY_KEYS)
+    return_value = _first_of(fields, _RETURN_KEYS)
     return ApiCallRecord(
         category=stringify_value(category) if category is not None else "",
         name=name.strip(),
-        arguments=normalize_arguments(_ci_get(obj, _ARGUMENT_KEYS)),
+        arguments=normalize_arguments(_first_of(fields, _ARGUMENT_KEYS)),
         return_value=stringify_value(return_value) if return_value is not None else "",
     )
 
@@ -209,8 +228,8 @@ def _call_from_fields(fields) -> ApiCallRecord:
     if not (isinstance(fields, list) and len(fields) == 4):
         raise ValueError(f"call {fields!r} is not [category, name, arguments, return]")
     category, name, arguments, return_value = fields
-    if not (isinstance(arguments, list)
-            and all(isinstance(v, str) for v in (category, name, return_value, *arguments))):
+    # json.loads builds exact lists and strs, never subclasses.
+    if type(arguments) is not list or set(map(type, (category, name, return_value, *arguments))) != {str}:
         raise ValueError(f"call {fields!r} holds a non-string field")
     return ApiCallRecord(category, name, tuple(arguments), return_value)
 

@@ -51,21 +51,28 @@ def fit(matrix: FeatureMatrix, y: np.ndarray, params: dict, seed: int) -> Linear
     Xa = np.concatenate([X, np.ones((n, 1))], axis=1)
 
     heads = sorted(int(c) for c in np.unique(y))
-    weights: list[list[float]] = []
-    bias: list[float] = []
-    for c in heads:
-        sign = np.where(y == c, 1.0, -1.0)
-        w = np.zeros(v + 1, dtype=np.float64)
-        rng = np.random.default_rng([abs(seed), c])
-        t = 0
-        for _ in range(epochs):
-            for i in rng.permutation(n):
-                t += 1
-                lr = 1.0 / (lam * t)
-                margin = sign[i] * float(w @ Xa[i])
-                w *= 1.0 - lr * lam
-                if margin < 1.0:
-                    w += lr * sign[i] * Xa[i]
-        weights.append([float(val) for val in w[:v]])
-        bias.append(float(w[v]))
-    return LinearSvmLearner(heads=heads, weights=weights, bias=bias)
+    # Step t has the same learning rate in every head; only the sample, drawn
+    # from each head's own seeded permutation, differs. So the heads step in
+    # lockstep, each doing exactly the float operations of a lone SGD loop.
+    rngs = [np.random.default_rng([abs(seed), c]) for c in heads]
+    signs = np.where(y == np.array(heads)[:, np.newaxis], 1.0, -1.0)
+    W = np.zeros((len(heads), v + 1), dtype=np.float64)
+    step = np.empty_like(W)
+    dots = np.empty((len(heads), 1, 1), dtype=np.float64)
+    hit = np.empty((len(heads), 1), dtype=bool)
+    t = 0
+    for _ in range(epochs):
+        order = np.stack([rng.permutation(n) for rng in rngs], axis=1)
+        sign = signs[np.arange(len(heads)), order][:, :, np.newaxis]
+        for idx, s in zip(order, sign):
+            t += 1
+            lr = 1.0 / (lam * t)
+            xg = Xa[idx]
+            # Stacked vector-vector products: the same ddot as ``w @ x`` per head.
+            np.matmul(W[:, np.newaxis, :], xg[:, :, np.newaxis], out=dots)
+            np.less(s * dots[:, 0], 1.0, out=hit)
+            W *= 1.0 - lr * lam
+            if hit.any():
+                np.multiply(lr * s, xg, out=step)
+                np.add(W, step, out=W, where=hit)
+    return LinearSvmLearner(heads=heads, weights=W[:, :v].tolist(), bias=W[:, v].tolist())

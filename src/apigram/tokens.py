@@ -30,8 +30,12 @@ def sanitize_segment(text: str) -> str:
     """Make a name or argument value safe inside tokens and n-grams.
 
     Whitespace collapses before control characters are stripped so tab and
-    newline count as whitespace, not as control characters.
+    newline count as whitespace, not as control characters. Apart from the
+    ASCII space, every character either pattern matches is unprintable, so
+    printable text without a space or comma comes back unchanged.
     """
+    if text.isprintable() and " " not in text and NGRAM_JOINER not in text:
+        return text
     text = _WHITESPACE.sub("-", text)
     text = _CONTROL.sub("", text)
     return text.replace(NGRAM_JOINER, ";")
@@ -44,12 +48,8 @@ def canonical_token(call: ApiCallRecord, max_args: int = 2) -> str:
     that sanitize to the empty string are skipped. A call with no surviving
     arguments yields ``name_na``.
     """
-    name = sanitize_segment(call.name)
-    segments = [sanitize_segment(a) for a in call.arguments[:max_args]]
-    segments = [s for s in segments if s]
-    if not segments:
-        segments = [NO_ARGS_PLACEHOLDER]
-    return TOKEN_JOINER.join([name] + segments)
+    segments = [s for s in map(sanitize_segment, call.arguments[:max_args]) if s]
+    return TOKEN_JOINER.join([sanitize_segment(call.name), *(segments or [NO_ARGS_PLACEHOLDER])])
 
 
 SUPPORTED_N = (1, 2, 3)

@@ -12,7 +12,7 @@ import csv
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
-from itertools import repeat
+from itertools import chain, dropwhile, repeat
 from pathlib import Path
 
 import numpy as np
@@ -234,6 +234,10 @@ def write_labels(path: str | Path, matrix: FeatureMatrix) -> None:
             writer.writerow([i, sid, matrix.labels[i].value])
 
 
+def _is_blank(line: str) -> bool:
+    return line in ("\n", "\r\n", "\r")
+
+
 def read_matrix(path: str | Path, labels_path: str | Path) -> FeatureMatrix:
     """Read a matrix and its labels; zero weights are dropped, and entries
     outside ``#shape`` or stored twice are rejected."""
@@ -250,7 +254,13 @@ def read_matrix(path: str | Path, labels_path: str | Path) -> FeatureMatrix:
             if shape_row[0] != "#shape":
                 raise ValueError("missing shape row")
             n_rows, n_cols = int(shape_row[1]), int(shape_row[2])
-            entries = np.fromiter(((int(i), int(j), float(w)) for i, j, w in reader), _ENTRY)
+            # numpy skips blank lines, and warns when it finds no entry line.
+            body = dropwhile(_is_blank, fh)
+            first = next(body, None)
+            if first is None:
+                entries = np.empty(0, _ENTRY)
+            else:
+                entries = np.loadtxt(chain([first], body), dtype=_ENTRY, delimiter=",", comments=None, ndmin=1)
     except (OSError, KeyError, ValueError, IndexError, OverflowError, StopIteration) as exc:
         raise IoFailure(f"cannot read matrix {path}: {exc}") from exc
     if len(pairs) != n_rows:

@@ -114,6 +114,31 @@ def test_argument_arrays_keep_order_and_unwrap_value_objects():
     assert report.calls[0].arguments == ("Software\\Run", "second", "7", "na", "true")
 
 
+def test_one_key_map_per_call_picks_what_ci_get_picks():
+    objects = [
+        {"API": "upper", "api": "lower"},
+        {"api": "lower", "API": "upper"},
+        {"name": "by-name", "api": "by-api"},
+        {"Name": "n", "API_NAME": "underscored", "ApiName": "joined"},
+        {1: "int-key", None: "none-key", ("api",): "tuple-key", "Api": "str-key"},
+        {"api": None, "name": "shadowed"},
+        {"RETURN": None, "return_value": 3, "Return": 4},
+        {"args": [1], "Arguments": None, "ARGS": [2]},
+        {"category": "c", "CATEGORY": None},
+        {},
+    ]
+    rng = np.random.default_rng(53)
+    spellings = [v for key in ingest._NAME_KEYS + ingest._CATEGORY_KEYS + ingest._ARGUMENT_KEYS
+                 + ingest._RETURN_KEYS for v in (key, key.upper(), key.capitalize())]
+    for _ in range(300):
+        keys = rng.choice(spellings + ["status", "time"], size=int(rng.integers(0, 7)))
+        objects.append({str(k): [i] if i % 3 else None for i, k in enumerate(keys)})
+    for obj in objects:
+        fields = ingest._lowered_keys(obj)
+        for keys in (ingest._NAME_KEYS, ingest._CATEGORY_KEYS, ingest._ARGUMENT_KEYS, ingest._RETURN_KEYS):
+            assert ingest._first_of(fields, keys) is ingest._ci_get(obj, keys), (obj, keys)
+
+
 def test_stringify_value_scalar_forms():
     assert stringify_value(None) == "na"
     assert stringify_value(True) == "true"

@@ -17,7 +17,7 @@ from apigram.errors import (
     VersionMismatch,
 )
 from apigram.labels import ALL_LABELS, ClassLabel
-from apigram.models import cart, forest
+from apigram.models import cart, forest, neighbors, svm
 from apigram.models import (
     ClassDistribution,
     HyperParams,
@@ -559,6 +559,19 @@ def test_knn_vote_ties_resolve_to_the_lower_class_ordinal():
     assert winner is min(ClassLabel.SPYWARE, ClassLabel.BACKDOOR, key=lambda l: l.ordinal)
 
 
+def test_knn_unit_rows_are_the_rows_divided_by_their_norms():
+    # More rows than one norm block, so the blocks' edges are covered.
+    rng = np.random.default_rng(131)
+    dense = rng.normal(size=(2500, 9)) * (rng.random((2500, 9)) < 0.5)
+    dense[[4, 1024]] = 0.0
+    matrix = _matrix(dense)
+    dense = matrix.to_dense()
+    learner = neighbors.fit(matrix, np.zeros(2500, dtype=np.int64), {"k": 3}, 0)
+    norms = np.sqrt((dense ** 2).sum(axis=1))
+    norms[norms == 0.0] = 1.0
+    assert np.array_equal(learner._unit.view(np.int64), (dense / norms[:, np.newaxis]).view(np.int64))
+
+
 def test_knn_probabilities_are_neighbor_vote_fractions():
     rng = np.random.default_rng(127)
     matrix = _clustered(rng)
@@ -651,6 +664,73 @@ def test_svm_training_is_seed_deterministic():
     first = _fast_model(ModelKind.LINEAR_SVM, matrix, seed=9)
     second = _fast_model(ModelKind.LINEAR_SVM, matrix, seed=9)
     assert first.learner.to_payload() == second.learner.to_payload()
+
+
+def _per_head_svm_fit(matrix, y, params, seed):
+    """Reference: each head runs its own SGD loop, one sample per step."""
+    lam = float(params["reg_lambda"])
+    epochs = int(params["epochs"])
+    X = matrix.to_dense()
+    n, v = X.shape
+    Xa = np.concatenate([X, np.ones((n, 1))], axis=1)
+    heads = sorted(int(c) for c in np.unique(y))
+    weights, bias = [], []
+    for c in heads:
+        sign = np.where(y == c, 1.0, -1.0)
+        w = np.zeros(v + 1, dtype=np.float64)
+        rng = np.random.default_rng([abs(seed), c])
+        t = 0
+        for _ in range(epochs):
+            for i in rng.permutation(n):
+                t += 1
+                lr = 1.0 / (lam * t)
+                margin = sign[i] * float(w @ Xa[i])
+                w *= 1.0 - lr * lam
+                if margin < 1.0:
+                    w += lr * sign[i] * Xa[i]
+        weights.append([float(val) for val in w[:v]])
+        bias.append(float(w[v]))
+    return heads, weights, bias
+
+
+@pytest.mark.parametrize(
+    "n_rows, n_classes, dim, epochs, seed, lam",
+    [
+        (2, 2, 40, 1, 0, 1e-4),  # two rows
+        (9, 3, 64, 2, -5, 1e-4),  # negative seed, five classes absent
+        (31, 8, 50, 3, 11, 1e-4),
+        (17, 5, 33, 1, -1, 0.5),
+        (24, 7, 70, 2, 3, 1e-2),
+        (40, 8, 117, 3, 7, 1e-4),
+    ],
+)
+def test_lockstep_svm_matches_the_per_head_loop_bit_for_bit(n_rows, n_classes, dim, epochs, seed, lam):
+    rng = np.random.default_rng(abs(seed) * 1000 + n_rows)
+    classes = rng.choice(8, size=n_classes, replace=False)
+    # Every class present, the last one on a single row.
+    y = np.concatenate([classes, rng.choice(classes[:-1], size=n_rows - n_classes)])
+    y = y[rng.permutation(n_rows)].astype(np.int64)
+    dense = rng.normal(size=(n_rows, dim)) * (rng.random((n_rows, dim)) < 0.6)
+    matrix = _matrix(dense, [ALL_LABELS[c] for c in y])
+    params = {"reg_lambda": lam, "epochs": epochs}
+    learner = svm.fit(matrix, y, params, seed)
+    heads, weights, bias = _per_head_svm_fit(matrix, y, params, seed)
+    assert learner.heads == heads
+    assert np.array_equal(np.array(learner.weights).view(np.int64), np.array(weights).view(np.int64))
+    assert np.array_equal(np.array(learner.bias).view(np.int64), np.array(bias).view(np.int64))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_lockstep_svm_margins_round_like_the_per_head_loop(seed):
+    # With the bias column, the two row patterns' product sums to 1 - 2**-53
+    # left to right but to 1.0 in other orders, which flips the hinge test.
+    dense = np.array([[1.0, 1.0, 1.0], [-1.0, 1.0, -(2.0 ** -53)]] * 3)
+    y = np.array([0, 0, 0, 0, 0, 1], dtype=np.int64)
+    matrix = _matrix(dense, [ALL_LABELS[c] for c in y])
+    params = {"reg_lambda": 1.0, "epochs": 2}
+    learner = svm.fit(matrix, y, params, seed)
+    _, weights, bias = _per_head_svm_fit(matrix, y, params, seed)
+    assert (learner.weights, learner.bias) == (weights, bias)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import re
 from collections import Counter
 
 import numpy as np
@@ -61,6 +62,24 @@ def test_sanitize_whitespace_comma_and_control_characters():
     assert sanitize_segment("k\x00e\x1fy\x7f") == "key"
     call = _call("Reg Open", "val,ue")
     assert canonical_token(call) == "Reg-Open_val;ue"
+
+
+def _two_regex_sanitize(text: str) -> str:
+    """Reference: both substitutions on every input, no shortcut."""
+    text = re.sub(r"[ \t\n\r\f\v]+", "-", text)
+    text = re.sub(r"[\x00-\x1f\x7f]", "", text)
+    return text.replace(",", ";")
+
+
+def test_sanitize_segment_matches_the_two_regex_reference():
+    rng = np.random.default_rng(41)
+    alphabet = (
+        list("aZ09._:\\-;") + list("\t\n\r\f\v") + [chr(c) for c in range(0x20)]
+        + ["\x7f", "\x85", "\xa0", "\u2028", "\u3000", "\u00e9", " ", ","]
+    )
+    texts = [""] + ["".join(rng.choice(alphabet, size=int(rng.integers(1, 9)))) for _ in range(3000)]
+    for text in texts:
+        assert sanitize_segment(text) == _two_regex_sanitize(text), repr(text)
 
 
 def test_arguments_that_sanitize_to_empty_are_skipped():

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -309,3 +310,66 @@ def test_read_matrix_rejects_entries_outside_the_shape_or_stored_twice(tmp_path,
     (tmp_path / "m.csv").write_text(body)
     with pytest.raises(IoFailure):
         read_matrix(tmp_path / "m.csv", tmp_path / "l.csv")
+
+
+def _write_two_row_matrix(tmp_path, body: str) -> None:
+    (tmp_path / "l.csv").write_text("row,sample_id,label\n0,a,Trojan\n1,b,Worm\n")
+    (tmp_path / "m.csv").write_text("row,col,weight\n#shape,2,3\n" + body)
+
+
+@pytest.mark.parametrize("body", ["", "\n", "\r\n\n"], ids=["empty", "blank-line", "blank-lines"])
+def test_read_matrix_with_no_entries_reads_back_without_a_warning(tmp_path, body):
+    _write_two_row_matrix(tmp_path, body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        matrix = read_matrix(tmp_path / "m.csv", tmp_path / "l.csv")
+    assert (matrix.n_rows, matrix.n_cols, matrix.data.size) == (2, 3, 0)
+    written = FeatureMatrix.from_rows(rows=({}, {}), n_cols=3, sample_ids=("a", "b"),
+                                      labels=(ClassLabel.TROJAN, ClassLabel.WORM))
+    write_matrix(tmp_path / "w.csv", written)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        again = read_matrix(tmp_path / "w.csv", tmp_path / "l.csv")
+    assert again.data.size == 0 and again.n_cols == 3
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "0,1,1.0\n# note\n1,2,1.0\n",
+        "#shape,2,3\n0,1,1.0\n",
+        "0,1,1.0 # x\n",
+        "0,1,1.0\n1,2\n",
+        "0,1,1.0,4\n",
+        "0,1,\n",
+        "0,1,1.0\n  \n",
+        "0,x,1.0\n",
+        "0,1.0,1.0\n",
+        "99999999999999999999,1,1.0\n",
+    ],
+    ids=["comment-line", "second-shape-row", "trailing-comment", "short-row", "long-row", "no-weight",
+         "space-only-line", "text-column", "float-column", "row-overflow"],
+)
+def test_read_matrix_rejects_malformed_body_lines(tmp_path, body):
+    _write_two_row_matrix(tmp_path, body)
+    with pytest.raises(IoFailure):
+        read_matrix(tmp_path / "m.csv", tmp_path / "l.csv")
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["0_1,1,1.0\n", "0,1,1_0.5\n", '"0",1,1.0\n', '0,1,"1.0"\n', "\u0661,1,1.0\n"],
+    ids=["underscore-index", "underscore-weight", "quoted-index", "quoted-weight", "non-ascii-digit"],
+)
+def test_read_matrix_rejects_number_forms_outside_the_written_format(tmp_path, body):
+    # int() and float() after csv unquoting accepted these; write_matrix
+    # never writes them, and the numpy parser rejects them.
+    _write_two_row_matrix(tmp_path, body)
+    with pytest.raises(IoFailure):
+        read_matrix(tmp_path / "m.csv", tmp_path / "l.csv")
+
+
+def test_read_matrix_skips_blank_body_lines(tmp_path):
+    _write_two_row_matrix(tmp_path, "\n0,1,1.5\n\n\r\n1,2, 2.5 \n\n")
+    matrix = read_matrix(tmp_path / "m.csv", tmp_path / "l.csv")
+    assert _rows(matrix) == [{1: 1.5}, {2: 2.5}]
