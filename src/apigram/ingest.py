@@ -86,14 +86,23 @@ def stringify_value(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
+def _lowered_keys(obj: dict) -> dict:
+    """``obj`` keyed by its lower-cased string keys; among keys that differ
+    only in case, the first in dict order wins (it is written last)."""
+    return {key.lower(): value for key, value in reversed(obj.items()) if isinstance(key, str)}
+
+
+def _first_of(lowered: dict, keys: tuple[str, ...]):
+    """Value of the earliest of ``keys`` present in ``lowered``; None if absent."""
+    for key in keys:
+        if key in lowered:
+            return lowered[key]
+    return None
+
+
 def _ci_get(obj: dict, keys: tuple[str, ...]):
     """Case-insensitive lookup of the first matching key; None if absent."""
-    lowered = None
-    for key, value in obj.items():
-        if isinstance(key, str) and key.lower() in keys:
-            if lowered is None or keys.index(key.lower()) < keys.index(lowered[0]):
-                lowered = (key.lower(), value)
-    return lowered[1] if lowered is not None else None
+    return _first_of(_lowered_keys(obj), keys)
 
 
 def normalize_arguments(raw) -> tuple[str, ...]:
@@ -123,24 +132,6 @@ def normalize_arguments(raw) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 # Report parsing
 # ---------------------------------------------------------------------------
-
-def _lowered_keys(obj: dict) -> dict:
-    """``obj`` keyed by its lower-cased string keys; among keys that differ
-    only in case, the first in dict order wins (it is written last)."""
-    return {key.lower(): value for key, value in reversed(obj.items()) if isinstance(key, str)}
-
-
-def _first_of(lowered: dict, keys: tuple[str, ...]):
-    """Value of the earliest of ``keys`` present in ``lowered``; None if absent.
-
-    Over ``_lowered_keys(obj)`` this is ``_ci_get(obj, keys)`` with the
-    lower-casing done once for all fields of a call.
-    """
-    for key in keys:
-        if key in lowered:
-            return lowered[key]
-    return None
-
 
 def _parse_call(obj) -> ApiCallRecord | None:
     if not isinstance(obj, dict):
@@ -228,8 +219,8 @@ def _call_from_fields(fields) -> ApiCallRecord:
     if not (isinstance(fields, list) and len(fields) == 4):
         raise ValueError(f"call {fields!r} is not [category, name, arguments, return]")
     category, name, arguments, return_value = fields
-    # json.loads builds exact lists and strs, never subclasses.
-    if type(arguments) is not list or set(map(type, (category, name, return_value, *arguments))) != {str}:
+    if not (isinstance(arguments, list)
+            and all(isinstance(v, str) for v in (category, name, return_value, *arguments))):
         raise ValueError(f"call {fields!r} holds a non-string field")
     return ApiCallRecord(category, name, tuple(arguments), return_value)
 

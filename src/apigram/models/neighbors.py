@@ -13,8 +13,6 @@ from ..labels import N_CLASSES
 from ..vectorize import FeatureMatrix
 from .base import Learner
 
-_NORM_BLOCK_ROWS = 1024
-
 
 class KNearestNeighborsLearner(Learner):
     def __init__(self, rows: list[list[list[float]]], labels: list[int], k: int, dim: int):
@@ -26,11 +24,7 @@ class KNearestNeighborsLearner(Learner):
         for i, pairs in enumerate(rows):
             for j, w in pairs:
                 dense[i, int(j)] = w
-        # Square a block of rows at a time and divide in place, so no second
-        # full-size array exists; each row's sum is the same as over the whole.
-        norms = np.empty(len(rows), dtype=np.float64)
-        for a in range(0, len(rows), _NORM_BLOCK_ROWS):
-            norms[a:a + _NORM_BLOCK_ROWS] = np.sqrt((dense[a:a + _NORM_BLOCK_ROWS] ** 2).sum(axis=1))
+        norms = np.sqrt((dense ** 2).sum(axis=1))
         norms[norms == 0.0] = 1.0
         dense /= norms[:, np.newaxis]
         self._unit = dense

@@ -10,6 +10,7 @@ import pytest
 from apigram import ingest
 from apigram.errors import EmptyTrace, IoFailure, MalformedJson, MissingBehaviorSection
 from apigram.ingest import (
+    ApiCallRecord,
     BehaviorReport,
     load_corpus,
     load_manifest,
@@ -114,29 +115,35 @@ def test_argument_arrays_keep_order_and_unwrap_value_objects():
     assert report.calls[0].arguments == ("Software\\Run", "second", "7", "na", "true")
 
 
-def test_one_key_map_per_call_picks_what_ci_get_picks():
-    objects = [
-        {"API": "upper", "api": "lower"},
-        {"api": "lower", "API": "upper"},
-        {"name": "by-name", "api": "by-api"},
-        {"Name": "n", "API_NAME": "underscored", "ApiName": "joined"},
-        {1: "int-key", None: "none-key", ("api",): "tuple-key", "Api": "str-key"},
-        {"api": None, "name": "shadowed"},
-        {"RETURN": None, "return_value": 3, "Return": 4},
-        {"args": [1], "Arguments": None, "ARGS": [2]},
-        {"category": "c", "CATEGORY": None},
-        {},
+def test_case_insensitive_lookup_prefers_key_priority_then_dict_order():
+    names = ingest._NAME_KEYS
+    cases = [
+        # Case-variant duplicates: the first in dict order wins.
+        ({"API": "upper", "api": "lower"}, names, "upper"),
+        ({"api": "lower", "API": "upper"}, names, "lower"),
+        # Competing names: the earlier key in the priority tuple wins.
+        ({"name": "by-name", "api": "by-api"}, names, "by-api"),
+        ({"Name": "n", "API_NAME": "underscored", "ApiName": "joined"}, names, "joined"),
+        # Non-string keys never match.
+        ({1: "int-key", None: "none-key", ("api",): "tuple-key", "Api": "str-key"}, names, "str-key"),
+        ({1: "int-key", ("api",): "tuple-key"}, names, None),
+        # A present key with a None value still shadows later keys.
+        ({"api": None, "name": "shadowed"}, names, None),
+        ({"RETURN": None, "return_value": 3, "Return": 4}, ingest._RETURN_KEYS, None),
+        ({"args": [1], "Arguments": None, "ARGS": [2]}, ingest._ARGUMENT_KEYS, None),
+        ({"category": "c", "CATEGORY": None}, ingest._CATEGORY_KEYS, "c"),
+        ({}, names, None),
     ]
-    rng = np.random.default_rng(53)
-    spellings = [v for key in ingest._NAME_KEYS + ingest._CATEGORY_KEYS + ingest._ARGUMENT_KEYS
-                 + ingest._RETURN_KEYS for v in (key, key.upper(), key.capitalize())]
-    for _ in range(300):
-        keys = rng.choice(spellings + ["status", "time"], size=int(rng.integers(0, 7)))
-        objects.append({str(k): [i] if i % 3 else None for i, k in enumerate(keys)})
-    for obj in objects:
-        fields = ingest._lowered_keys(obj)
-        for keys in (ingest._NAME_KEYS, ingest._CATEGORY_KEYS, ingest._ARGUMENT_KEYS, ingest._RETURN_KEYS):
-            assert ingest._first_of(fields, keys) is ingest._ci_get(obj, keys), (obj, keys)
+    for obj, keys, expected in cases:
+        assert ingest._ci_get(obj, keys) == expected, (obj, keys)
+
+
+def test_call_fields_follow_the_lookup_rule():
+    call = ingest._parse_call({
+        "Name": "by-name", "API": "CreateFileW", "api": "shadowed",
+        "ARGS": ["b"], "arguments": ["a"], "Category": "file", "return_value": 0, "RETURN": 1,
+    })
+    assert call == ApiCallRecord("file", "CreateFileW", ("a",), "1")
 
 
 def test_stringify_value_scalar_forms():
