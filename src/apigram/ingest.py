@@ -16,6 +16,7 @@ import logging
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import EmptyTrace, IoFailure, MalformedJson, MissingBehaviorSection
 from .labels import ClassLabel
@@ -26,11 +27,14 @@ _NAME_KEYS = ("api", "apiname", "api_name", "name")
 _CATEGORY_KEYS = ("category",)
 _ARGUMENT_KEYS = ("arguments", "args")
 _RETURN_KEYS = ("return", "return_value", "returnvalue")
+# The fields a call layout resolves, in the order it holds their raw keys.
+_CALL_FIELD_KEYS = (_NAME_KEYS, _CATEGORY_KEYS, _ARGUMENT_KEYS, _RETURN_KEYS)
+# Stands for an absent key: no dict holds it, so ``obj.get`` gives None.
+_ABSENT = object()
 
 
-@dataclass(frozen=True)
-class ApiCallRecord:
-    """One recorded API invocation."""
+class ApiCallRecord(NamedTuple):
+    """One recorded API invocation, a plain 4-tuple in field order."""
 
     category: str
     name: str
@@ -86,23 +90,23 @@ def stringify_value(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-def _lowered_keys(obj: dict) -> dict:
-    """``obj`` keyed by its lower-cased string keys; among keys that differ
-    only in case, the first in dict order wins (it is written last)."""
-    return {key.lower(): value for key, value in reversed(obj.items()) if isinstance(key, str)}
+def _key_map(raw_keys) -> dict:
+    """Lower-cased string key -> raw key, over ``raw_keys`` in dict order;
+    among keys that differ only in case, the first wins (it is written last)."""
+    return {key.lower(): key for key in reversed(raw_keys) if isinstance(key, str)}
 
 
-def _first_of(lowered: dict, keys: tuple[str, ...]):
-    """Value of the earliest of ``keys`` present in ``lowered``; None if absent."""
+def _raw_key(key_map: dict, keys: tuple[str, ...]):
+    """Raw key of the earliest of ``keys`` present in ``key_map``; ``_ABSENT`` if none is."""
     for key in keys:
-        if key in lowered:
-            return lowered[key]
-    return None
+        if key in key_map:
+            return key_map[key]
+    return _ABSENT
 
 
 def _ci_get(obj: dict, keys: tuple[str, ...]):
     """Case-insensitive lookup of the first matching key; None if absent."""
-    return _first_of(_lowered_keys(obj), keys)
+    return obj.get(_raw_key(_key_map(obj), keys))
 
 
 def normalize_arguments(raw) -> tuple[str, ...]:
@@ -133,20 +137,29 @@ def normalize_arguments(raw) -> tuple[str, ...]:
 # Report parsing
 # ---------------------------------------------------------------------------
 
-def _parse_call(obj) -> ApiCallRecord | None:
+def _call_layout(keys: tuple) -> tuple:
+    """The raw keys of name, category, arguments and return for a call object
+    whose keys, in dict order, are ``keys``."""
+    key_map = _key_map(keys)
+    return tuple(_raw_key(key_map, field_keys) for field_keys in _CALL_FIELD_KEYS)
+
+
+def _parse_call(obj, layouts: dict) -> ApiCallRecord | None:
+    """One call object as a record; ``layouts`` caches ``_call_layout`` by key tuple."""
     if not isinstance(obj, dict):
         return None
-    fields = _lowered_keys(obj)
-    name = _first_of(fields, _NAME_KEYS)
+    keys = tuple(obj)
+    layout = layouts.get(keys)
+    if layout is None:
+        layout = layouts[keys] = _call_layout(keys)
+    name, category, arguments, return_value = map(obj.get, layout)
     if not isinstance(name, str) or not name.strip():
         return None
-    category = _first_of(fields, _CATEGORY_KEYS)
-    return_value = _first_of(fields, _RETURN_KEYS)
     return ApiCallRecord(
-        category=stringify_value(category) if category is not None else "",
-        name=name.strip(),
-        arguments=normalize_arguments(_first_of(fields, _ARGUMENT_KEYS)),
-        return_value=stringify_value(return_value) if return_value is not None else "",
+        stringify_value(category) if category is not None else "",
+        name.strip(),
+        normalize_arguments(arguments),
+        stringify_value(return_value) if return_value is not None else "",
     )
 
 
@@ -173,6 +186,8 @@ def parse_report(raw: bytes | str, label: ClassLabel, sample_id: str) -> Behavio
 
     calls: list[ApiCallRecord] = []
     counts: list[int] = []
+    # Calls in one report share a few key layouts; each is resolved once.
+    layouts: dict[tuple, tuple] = {}
     for process in processes:
         if not isinstance(process, dict):
             continue
@@ -181,7 +196,7 @@ def parse_report(raw: bytes | str, label: ClassLabel, sample_id: str) -> Behavio
             continue
         n_before = len(calls)
         for call_obj in call_list:
-            record = _parse_call(call_obj)
+            record = _parse_call(call_obj, layouts)
             if record is not None:
                 calls.append(record)
         counts.append(len(calls) - n_before)
@@ -207,10 +222,9 @@ def report_to_json_bytes(report: BehaviorReport) -> bytes:
     document = {
         "sample_id": report.sample_id,
         "label": report.label.value,
-        "processes": [
-            [[call.category, call.name, list(call.arguments), call.return_value] for call in segment]
-            for segment in report.process_segments()
-        ],
+        # JSON writes a tuple as the same array as a list, so each record and
+        # its argument tuple serialize as they are.
+        "processes": report.process_segments(),
     }
     return json.dumps(document, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
@@ -219,8 +233,8 @@ def _call_from_fields(fields) -> ApiCallRecord:
     if not (isinstance(fields, list) and len(fields) == 4):
         raise ValueError(f"call {fields!r} is not [category, name, arguments, return]")
     category, name, arguments, return_value = fields
-    if not (isinstance(arguments, list)
-            and all(isinstance(v, str) for v in (category, name, return_value, *arguments))):
+    if not (isinstance(category, str) and isinstance(name, str) and isinstance(return_value, str)
+            and isinstance(arguments, list) and all(isinstance(v, str) for v in arguments)):
         raise ValueError(f"call {fields!r} holds a non-string field")
     return ApiCallRecord(category, name, tuple(arguments), return_value)
 

@@ -13,6 +13,8 @@ from ..labels import N_CLASSES
 from ..vectorize import FeatureMatrix
 from .base import Learner
 
+_GATHER_BYTES = 2 << 20
+
 
 class LinearSvmLearner(Learner):
     probabilistic = False
@@ -60,19 +62,23 @@ def fit(matrix: FeatureMatrix, y: np.ndarray, params: dict, seed: int) -> Linear
     step = np.empty_like(W)
     dots = np.empty((len(heads), 1, 1), dtype=np.float64)
     hit = np.empty((len(heads), 1), dtype=bool)
+    # The rows of a block of steps are gathered with one fancy index, in a
+    # buffer of about _GATHER_BYTES; a very wide matrix gathers per step.
+    block = max(1, _GATHER_BYTES // W.nbytes)
     t = 0
     for _ in range(epochs):
         order = np.stack([rng.permutation(n) for rng in rngs], axis=1)
         sign = signs[np.arange(len(heads)), order][:, :, np.newaxis]
-        for idx, s in zip(order, sign):
-            t += 1
-            lr = 1.0 / (lam * t)
-            xg = Xa[idx]
-            # Stacked vector-vector products: the same ddot as ``w @ x`` per head.
-            np.matmul(W[:, np.newaxis, :], xg[:, :, np.newaxis], out=dots)
-            np.less(s * dots[:, 0], 1.0, out=hit)
-            W *= 1.0 - lr * lam
-            if hit.any():
-                np.multiply(lr * s, xg, out=step)
-                np.add(W, step, out=W, where=hit)
+        for start in range(0, n, block):
+            stop = start + block
+            for xg, s in zip(Xa[order[start:stop]], sign[start:stop]):
+                t += 1
+                lr = 1.0 / (lam * t)
+                # Stacked vector-vector products: the same ddot as ``w @ x`` per head.
+                np.matmul(W[:, np.newaxis, :], xg[:, :, np.newaxis], out=dots)
+                np.less(s * dots[:, 0], 1.0, out=hit)
+                W *= 1.0 - lr * lam
+                if hit.any():
+                    np.multiply(lr * s, xg, out=step)
+                    np.add(W, step, out=W, where=hit)
     return LinearSvmLearner(heads=heads, weights=W[:, :v].tolist(), bias=W[:, v].tolist())

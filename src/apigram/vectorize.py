@@ -12,7 +12,7 @@ import csv
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
-from itertools import chain, dropwhile, repeat
+from itertools import chain, count, dropwhile
 from pathlib import Path
 
 import numpy as np
@@ -216,22 +216,22 @@ def frequency_matrix(
 # ---------------------------------------------------------------------------
 
 def write_matrix(path: str | Path, matrix: FeatureMatrix) -> None:
+    # Every field is a number, so no csv quoting is ever needed: each row's
+    # entries are written as one string.
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["row", "col", "weight"])
-        writer.writerow(["#shape", matrix.n_rows, matrix.n_cols])
+        fh.write(f"row,col,weight\n#shape,{matrix.n_rows},{matrix.n_cols}\n")
         bounds = matrix.indptr.tolist()
         for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
-            weights = [format(w, ".17g") for w in matrix.data[a:b].tolist()]
-            writer.writerows(zip(repeat(i), matrix.indices[a:b].tolist(), weights))
+            entries = zip(matrix.indices[a:b].tolist(), matrix.data[a:b].tolist())
+            fh.write("".join([f"{i},{col},{w:.17g}\n" for col, w in entries]))
 
 
 def write_labels(path: str | Path, matrix: FeatureMatrix) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["row", "sample_id", "label"])
-        for i, sid in enumerate(matrix.sample_ids):
-            writer.writerow([i, sid, matrix.labels[i].value])
+        # Sample ids are free text that may need quoting, so csv writes them.
+        writer.writerows(zip(count(), matrix.sample_ids, (label.value for label in matrix.labels)))
 
 
 def _is_blank(line: str) -> bool:

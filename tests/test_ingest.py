@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import random
 import weakref
 
 import numpy as np
@@ -142,8 +143,85 @@ def test_call_fields_follow_the_lookup_rule():
     call = ingest._parse_call({
         "Name": "by-name", "API": "CreateFileW", "api": "shadowed",
         "ARGS": ["b"], "arguments": ["a"], "Category": "file", "return_value": 0, "RETURN": 1,
-    })
+    }, {})
     assert call == ApiCallRecord("file", "CreateFileW", ("a",), "1")
+
+
+def _reference_parse_call(obj):
+    """Reference: the per-call lookup, one lower-cased key map per call object."""
+    if not isinstance(obj, dict):
+        return None
+    fields = {key.lower(): value for key, value in reversed(obj.items()) if isinstance(key, str)}
+
+    def first_of(keys):
+        return next((fields[key] for key in keys if key in fields), None)
+
+    name = first_of(ingest._NAME_KEYS)
+    if not isinstance(name, str) or not name.strip():
+        return None
+    category = first_of(ingest._CATEGORY_KEYS)
+    return_value = first_of(ingest._RETURN_KEYS)
+    return ApiCallRecord(
+        stringify_value(category) if category is not None else "",
+        name.strip(),
+        normalize_arguments(first_of(ingest._ARGUMENT_KEYS)),
+        stringify_value(return_value) if return_value is not None else "",
+    )
+
+
+_LAYOUT_KEYS = [
+    "api", "API", "Api", "apiname", "ApiName", "api_name", "NAME", "name",
+    "category", "Category", "arguments", "Arguments", "args", "Args",
+    "return", "RETURN", "return_value", "ReturnValue", "returnvalue", "status",
+]
+
+
+def _random_value(rng):
+    return rng.choice([
+        "NtClose", "  LdrLoadDll ", "", "   ", None, 0, 7, 2.5, True, False,
+        ["a", 1, None, {"name": "k", "VALUE": "v"}], {"b": 1, "a": "x"}, "x,y z",
+    ])
+
+
+def test_layout_lookup_matches_the_per_call_lookup():
+    rng = random.Random(12)
+    for _ in range(150):
+        # A few key sets per report, each written in several orders, so one
+        # report holds the same keys in different orders and case variants.
+        pool = [rng.sample(_LAYOUT_KEYS, rng.randint(0, 6)) for _ in range(3)]
+        processes = []
+        for _ in range(rng.randint(1, 3)):
+            calls = []
+            for _ in range(rng.randint(1, 25)):
+                if rng.random() < 0.05:
+                    calls.append(rng.choice([3, "NtClose", None, ["api", "x"]]))
+                    continue
+                keys = rng.choice(pool)[:]
+                rng.shuffle(keys)
+                calls.append({key: _random_value(rng) for key in keys})
+            processes.append({"calls": calls})
+        raw = _raw(processes)
+        expected = [
+            [record for record in map(_reference_parse_call, process["calls"]) if record is not None]
+            for process in json.loads(raw)["behavior"]["processes"]
+        ]
+        if not any(expected):
+            with pytest.raises(EmptyTrace):
+                parse_report(raw, ClassLabel.WORM, "oracle")
+            continue
+        report = parse_report(raw, ClassLabel.WORM, "oracle")
+        assert report.calls == tuple(record for process in expected for record in process)
+        assert report.process_call_counts == tuple(map(len, expected))
+
+
+def test_call_record_is_a_named_four_tuple():
+    call = ApiCallRecord("file", "NtCreateFile", ("a", "b"), "0")
+    assert ApiCallRecord._fields == ("category", "name", "arguments", "return_value")
+    assert call == ("file", "NtCreateFile", ("a", "b"), "0")
+    assert tuple(call) == (call.category, call.name, call.arguments, call.return_value)
+    assert call[1] == "NtCreateFile"
+    with pytest.raises(AttributeError):
+        call.name = "NtClose"
 
 
 def test_stringify_value_scalar_forms():
@@ -209,6 +287,39 @@ def test_normalized_json_round_trip_is_exact():
     ))
     for report in reports:
         assert report_from_json_line(report_to_json_bytes(report).decode()) == report
+
+
+def _reference_json_bytes(report):
+    """Reference: the corpus.jsonl line built from per-call lists."""
+    document = {
+        "sample_id": report.sample_id,
+        "label": report.label.value,
+        "processes": [
+            [[call.category, call.name, list(call.arguments), call.return_value] for call in segment]
+            for segment in report.process_segments()
+        ],
+    }
+    return json.dumps(document, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def test_corpus_line_bytes_match_the_list_built_line():
+    calls = (
+        ApiCallRecord("file", "NtCreateFile", ("C:\\x \"y\"", "ünï", "日本"), "0"),
+        ApiCallRecord("", "NtClose", (), ""),
+        ApiCallRecord("reg", 'Reg"Open', ("", "\n\t\x00"), "\u2028"),
+        ApiCallRecord("net", "connect", ("a,b",), "-1"),
+    )
+    reports = [
+        BehaviorReport("plain", ClassLabel.WORM, calls, (4,)),
+        BehaviorReport("zeros", ClassLabel.VIRUS, calls, (0, 1, 0, 3, 0)),
+        BehaviorReport("no-counts", ClassLabel.BENIGN, calls, ()),
+        BehaviorReport("void", ClassLabel.BENIGN, (), (0, 0)),
+        BehaviorReport("empty", ClassLabel.BENIGN, (), ()),
+        BehaviorReport('id "quoted" é', ClassLabel.ADWARE, calls[1:2], (1,)),
+        parse_report(_seven_call_report(), ClassLabel.TROJAN, "parsed"),
+    ]
+    for report in reports:
+        assert report_to_json_bytes(report) == _reference_json_bytes(report), report.sample_id
 
 
 def _corpus_line(**fields):

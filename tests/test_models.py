@@ -701,6 +701,10 @@ def _per_head_svm_fit(matrix, y, params, seed):
         (17, 5, 33, 1, -1, 0.5),
         (24, 7, 70, 2, 3, 1e-2),
         (40, 8, 117, 3, 7, 1e-4),
+        # Rows gathered in blocks of 2 MiB // (heads * (dim + 1) * 8) steps:
+        (21, 8, 4095, 2, 5, 1e-3),  # blocks of 8, the last one 5 rows
+        (100, 3, 2000, 2, -2, 1e-4),  # blocks of 43, the last one 14 rows
+        (9, 8, 40000, 1, 9, 1e-4),  # wider than the buffer: one row per step
     ],
 )
 def test_lockstep_svm_matches_the_per_head_loop_bit_for_bit(n_rows, n_classes, dim, epochs, seed, lam):

@@ -1,6 +1,8 @@
 """TF-IDF math against hand-computed values and a naive dense oracle."""
 from __future__ import annotations
 
+import csv
+import io
 import math
 import warnings
 
@@ -219,6 +221,43 @@ def test_matrix_csv_round_trip_is_exact(tmp_path):
     assert again.sample_ids == matrix.sample_ids
     assert again.labels == matrix.labels
     assert _rows(again) == _rows(matrix)
+
+
+def _csv_writer_matrix_text(matrix) -> str:
+    """Reference: the matrix file as ``csv.writer`` writes it, row by row."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["row", "col", "weight"])
+    writer.writerow(["#shape", matrix.n_rows, matrix.n_cols])
+    for i, row in enumerate(_rows(matrix)):
+        writer.writerows([i, col, format(w, ".17g")] for col, w in row.items())
+    return out.getvalue()
+
+
+def test_written_matrix_text_matches_the_csv_writer(tmp_path):
+    rng = np.random.default_rng(31)
+    weights = [0.1, 1 / 3, -2.5e-300, 1e22, 5e-324, -0.0, 123456789.123456789, math.pi]
+    rows = ({}, {0: weights[0], 7: weights[1]}, {}, {j: w for j, w in enumerate(weights)})
+    matrices = [FeatureMatrix.from_rows(rows=rows, n_cols=8, sample_ids=("a", "b", "c", "d"),
+                                        labels=(ClassLabel.BENIGN,) * 4)]
+    docs = _random_corpus(rng, max_docs=12, max_terms=25)
+    matrices.append(tfidf_matrix(docs, build_vocabulary(docs), l2=True))
+    for matrix in matrices:
+        write_matrix(tmp_path / "m.csv", matrix)
+        assert (tmp_path / "m.csv").read_bytes().decode("utf-8") == _csv_writer_matrix_text(matrix)
+
+
+def test_written_labels_quote_sample_ids_like_csv(tmp_path):
+    ids = ("plain", "a,b", 'say "hi"', "line\nbreak", "")
+    matrix = FeatureMatrix.from_rows(rows=({},) * 5, n_cols=1, sample_ids=ids,
+                                     labels=(ClassLabel.WORM,) * 5)
+    write_labels(tmp_path / "l.csv", matrix)
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["row", "sample_id", "label"])
+    for i, sample_id in enumerate(ids):
+        writer.writerow([i, sample_id, "Worm"])
+    assert (tmp_path / "l.csv").read_bytes().decode("utf-8") == out.getvalue()
 
 
 def test_select_rows_and_apply_mask_semantics():
