@@ -304,12 +304,16 @@ def cmd_select(cfg: PipelineConfig) -> None:
     print(f"select: kept {len(mask)} of {len(vocabulary)} features ({chain})")
 
 
+def _model_settings(cfg: PipelineConfig) -> tuple[ModelKind, HyperParams]:
+    kind = ModelKind.from_name(str(cfg["model.kind"]))
+    return kind, HyperParams(seed=int(cfg["seed"]), values=cfg.model_params())
+
+
 def cmd_train(cfg: PipelineConfig) -> None:
     matrix = _masked_tfidf(cfg)
     train_rows, _ = _read_split(cfg)
     training = matrix.select_rows(train_rows)
-    kind = ModelKind.from_name(str(cfg["model.kind"]))
-    params = HyperParams(seed=int(cfg["seed"]), values=cfg.model_params())
+    kind, params = _model_settings(cfg)
     model = train(kind, training, params=params)
     model_path = cfg.workdir / "model.json"
     save_model(model, model_path)
@@ -341,6 +345,9 @@ def cmd_evaluate(cfg: PipelineConfig) -> None:
 
 
 def cmd_pipeline(cfg: PipelineConfig) -> None:
+    # Bad model settings fail here, before any stage rewrites the workdir.
+    kind, params = _model_settings(cfg)
+    params.resolve(kind)
     if not str(cfg["io.manifest"]):
         cmd_synth(cfg)
     cmd_ingest(cfg)

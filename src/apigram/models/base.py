@@ -191,6 +191,15 @@ class Learner:
         raise NotImplementedError
 
 
+def check_head_shapes(weights: np.ndarray, bias: np.ndarray, n_heads: int, dim: int) -> None:
+    """Reject a loaded linear model unless it has one row of ``dim`` weights
+    and one bias per class head."""
+    if weights.shape != (n_heads, dim) or bias.shape != (n_heads,):
+        raise ValueError(
+            f"weights {weights.shape} and bias {bias.shape} do not fit {n_heads} heads x {dim} columns"
+        )
+
+
 @dataclass(frozen=True)
 class TrainedModel:
     kind: ModelKind
@@ -341,5 +350,5 @@ def load_model(path: str | Path) -> TrainedModel:
             data_fingerprint=str(document.get("data_fingerprint", "")),
             learner=learner,
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, IndexError) as exc:
         raise CorruptModel(f"model file {path} is malformed: {exc}") from exc

@@ -14,7 +14,7 @@ import numpy as np
 from ..errors import DegenerateData
 from ..labels import N_CLASSES
 from ..vectorize import FeatureMatrix
-from .base import Learner
+from .base import Learner, check_head_shapes
 
 
 class NaiveBayesLearner(Learner):
@@ -38,11 +38,13 @@ class NaiveBayesLearner(Learner):
 
     @classmethod
     def from_payload(cls, payload: dict, dim: int) -> "NaiveBayesLearner":
-        return cls(
+        learner = cls(
             heads=list(payload["heads"]),
             log_prior=list(payload["log_prior"]),
             log_theta=payload["log_theta"],
         )
+        check_head_shapes(learner._W, learner._b, len(learner.heads), dim)
+        return learner
 
 
 def fit(matrix: FeatureMatrix, y: np.ndarray, params: dict, seed: int) -> NaiveBayesLearner:

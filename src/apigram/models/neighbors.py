@@ -47,12 +47,12 @@ class KNearestNeighborsLearner(Learner):
 
     @classmethod
     def from_payload(cls, payload: dict, dim: int) -> "KNearestNeighborsLearner":
-        return cls(
-            rows=payload["rows"],
-            labels=list(payload["labels"]),
-            k=int(payload["k"]),
-            dim=int(payload["dim"]),
-        )
+        rows = payload["rows"]
+        if int(payload["dim"]) != dim:
+            raise ValueError(f"kNN payload dim {payload['dim']} differs from the model's {dim}")
+        if not all(0 <= int(j) < dim for pairs in rows for j, _ in pairs):
+            raise ValueError(f"a kNN row holds a column outside [0, {dim})")
+        return cls(rows=rows, labels=list(payload["labels"]), k=int(payload["k"]), dim=dim)
 
 
 def fit(matrix: FeatureMatrix, y: np.ndarray, params: dict, seed: int) -> KNearestNeighborsLearner:

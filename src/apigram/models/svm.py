@@ -11,7 +11,7 @@ import numpy as np
 
 from ..labels import N_CLASSES
 from ..vectorize import FeatureMatrix
-from .base import Learner
+from .base import Learner, check_head_shapes
 
 _GATHER_BYTES = 2 << 20
 
@@ -38,11 +38,13 @@ class LinearSvmLearner(Learner):
 
     @classmethod
     def from_payload(cls, payload: dict, dim: int) -> "LinearSvmLearner":
-        return cls(
+        learner = cls(
             heads=list(payload["heads"]),
             weights=payload["weights"],
             bias=list(payload["bias"]),
         )
+        check_head_shapes(learner._W, learner._b, len(learner.heads), dim)
+        return learner
 
 
 def fit(matrix: FeatureMatrix, y: np.ndarray, params: dict, seed: int) -> LinearSvmLearner:

@@ -371,21 +371,13 @@ def hybrid_select(
     if config.target_ratio < 1.0:
         mask = correlation_prune(tfidf, mask, config.corr_threshold)
         target = math.ceil(config.target_ratio * v_original)
-        n_in = len(mask)
-        if n_in > target:
-            by_rank = sorted(mask.kept, key=lambda j: (-mask.scores[j], j))[:target]
-            chosen = tuple(sorted(by_rank))
-            mask = SelectionMask(
-                kept=chosen,
-                scores={j: mask.scores[j] for j in chosen},
-                provenance=mask.provenance + (("truncate", n_in, len(chosen)),),
-            )
-        else:
-            mask = SelectionMask(
-                kept=mask.kept,
-                scores=mask.scores,
-                provenance=mask.provenance + (("truncate", n_in, n_in),),
-            )
+        by_rank = sorted(mask.kept, key=lambda j: (-mask.scores[j], j))[:target]
+        chosen = tuple(sorted(by_rank))
+        mask = SelectionMask(
+            kept=chosen,
+            scores={j: mask.scores[j] for j in chosen},
+            provenance=mask.provenance + (("truncate", len(mask), len(chosen)),),
+        )
     return mask
 
 

@@ -81,10 +81,9 @@ def report_ngrams(
     boundary, so no n-gram spans two processes.
     """
     _check_n(n)
-    segments = report.process_segments() if reset_at_process else [report.calls]
     out: list[str] = []
-    for segment in segments:
-        out.extend(extract_ngrams([canonical_token(call, max_args) for call in segment], n))
+    for calls in report.processes if reset_at_process else (report.calls,):
+        out.extend(extract_ngrams([canonical_token(call, max_args) for call in calls], n))
     return out
 
 

@@ -215,6 +215,17 @@ def test_non_finite_selection_ratio_reports_an_error(tmp_path, setting, capsys):
     assert _error_line(capsys)["error"] == "DimensionMismatch"
 
 
+@pytest.mark.parametrize(
+    "bad", [("--model", "nosuch"), ("--set", "model.n_trees=0")], ids=["unknown-kind", "zero-trees"]
+)
+def test_pipeline_rejects_bad_model_settings_before_any_stage(tmp_path, bad, capsys):
+    workdir = tmp_path / "run"
+    assert _run("pipeline", "--scale", "tiny", "--workdir", str(workdir), *bad) == 2
+    assert _error_line(capsys)["error"] == "ConfigError"
+    assert not (workdir / "corpus.jsonl").exists()
+    assert not (workdir / "manifest.csv").exists()
+
+
 def test_split_row_outside_the_matrix_reports_an_error(tmp_path, capsys):
     workdir = tmp_path / "run"
     assert _run(*_tiny_args(workdir, "--no-selection")) == 0

@@ -1,6 +1,7 @@
 """Report parsing: schema tolerance, normalization, round trips, corpus IO."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 import weakref
@@ -51,7 +52,7 @@ def _seven_call_report() -> bytes:
 def test_parse_concatenates_processes_in_report_order():
     report = parse_report(_seven_call_report(), ClassLabel.TROJAN, "s1")
     assert [c.name for c in report.calls] == SEVEN_NAMES
-    assert report.process_call_counts == (4, 3)
+    assert tuple(map(len, report.processes)) == (4, 3)
     assert report.label is ClassLabel.TROJAN
     assert report.sample_id == "s1"
 
@@ -211,7 +212,7 @@ def test_layout_lookup_matches_the_per_call_lookup():
             continue
         report = parse_report(raw, ClassLabel.WORM, "oracle")
         assert report.calls == tuple(record for process in expected for record in process)
-        assert report.process_call_counts == tuple(map(len, expected))
+        assert tuple(map(len, report.processes)) == tuple(map(len, expected))
 
 
 def test_call_record_is_a_named_four_tuple():
@@ -280,11 +281,9 @@ def test_normalized_json_round_trip_is_exact():
             processes.append({"calls": calls})
         processes.insert(int(rng.integers(0, n_proc + 1)), {"calls": []})
         report = parse_report(_raw(processes), ClassLabel.DOWNLOADER, "rt")
-        assert 0 in report.process_call_counts
+        assert () in report.processes
         reports.append(report)
-    reports.append(BehaviorReport(
-        sample_id="void", label=ClassLabel.BENIGN, calls=(), process_call_counts=(0, 0)
-    ))
+    reports.append(BehaviorReport(sample_id="void", label=ClassLabel.BENIGN, processes=((), ())))
     for report in reports:
         assert report_from_json_line(report_to_json_bytes(report).decode()) == report
 
@@ -295,8 +294,8 @@ def _reference_json_bytes(report):
         "sample_id": report.sample_id,
         "label": report.label.value,
         "processes": [
-            [[call.category, call.name, list(call.arguments), call.return_value] for call in segment]
-            for segment in report.process_segments()
+            [[call.category, call.name, list(call.arguments), call.return_value] for call in process]
+            for process in report.processes
         ],
     }
     return json.dumps(document, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -310,16 +309,30 @@ def test_corpus_line_bytes_match_the_list_built_line():
         ApiCallRecord("net", "connect", ("a,b",), "-1"),
     )
     reports = [
-        BehaviorReport("plain", ClassLabel.WORM, calls, (4,)),
-        BehaviorReport("zeros", ClassLabel.VIRUS, calls, (0, 1, 0, 3, 0)),
-        BehaviorReport("no-counts", ClassLabel.BENIGN, calls, ()),
-        BehaviorReport("void", ClassLabel.BENIGN, (), (0, 0)),
-        BehaviorReport("empty", ClassLabel.BENIGN, (), ()),
-        BehaviorReport('id "quoted" é', ClassLabel.ADWARE, calls[1:2], (1,)),
+        BehaviorReport("plain", ClassLabel.WORM, (calls,)),
+        BehaviorReport("zeros", ClassLabel.VIRUS, ((), calls[:1], (), calls[1:], ())),
+        BehaviorReport("void", ClassLabel.BENIGN, ((), ())),
+        BehaviorReport("empty", ClassLabel.BENIGN, ()),
+        BehaviorReport('id "quoted" é', ClassLabel.ADWARE, (calls[1:2],)),
         parse_report(_seven_call_report(), ClassLabel.TROJAN, "parsed"),
     ]
     for report in reports:
         assert report_to_json_bytes(report) == _reference_json_bytes(report), report.sample_id
+
+
+def test_report_holds_its_processes_and_derives_its_calls():
+    assert tuple(f.name for f in dataclasses.fields(BehaviorReport)) == ("sample_id", "label", "processes")
+    a, b, c = (ApiCallRecord("system", name, (), "0") for name in ("NtOpenFile", "NtReadFile", "NtClose"))
+    report = BehaviorReport("gaps", ClassLabel.WORM, ((), (a, b), (), (c,), ()))
+    assert report.calls == (a, b, c)
+    assert BehaviorReport("one", ClassLabel.WORM, ((a,),)).calls == (a,)
+    for processes in ((), ((),), ((), (), ())):
+        hollow = BehaviorReport("hollow", ClassLabel.BENIGN, processes)
+        assert hollow.calls == ()
+        line = report_to_json_bytes(hollow).decode()
+        assert json.loads(line)["processes"] == [[] for _ in processes]
+        assert report_from_json_line(line) == hollow
+    assert report_from_json_line(report_to_json_bytes(report).decode()) == report
 
 
 def _corpus_line(**fields):

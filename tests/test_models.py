@@ -833,6 +833,37 @@ def test_non_object_model_file_is_reported_corrupt(tmp_path):
         load_model(path)
 
 
+def _set_first_knn_column(document, column):
+    document["payload"]["rows"][0][0][0] = column
+
+
+@pytest.mark.parametrize("kind, corrupt", [
+    pytest.param(ModelKind.LINEAR_SVM,
+                 lambda d: d["payload"].update(weights=[w[:-1] for w in d["payload"]["weights"]]),
+                 id="svm-weights-one-column-short"),
+    pytest.param(ModelKind.LINEAR_SVM, lambda d: d["payload"]["bias"].pop(), id="svm-bias-one-short"),
+    pytest.param(ModelKind.LINEAR_SVM, lambda d: d.update(dim=d["dim"] + 1), id="svm-model-dim-wider"),
+    pytest.param(ModelKind.MULTINOMIAL_NAIVE_BAYES,
+                 lambda d: d["payload"].update(log_theta=[w[:-1] for w in d["payload"]["log_theta"]]),
+                 id="nb-weights-one-column-short"),
+    pytest.param(ModelKind.K_NEAREST_NEIGHBORS,
+                 lambda d: d["payload"].update(dim=d["dim"] + 1), id="knn-payload-dim-wider"),
+    pytest.param(ModelKind.K_NEAREST_NEIGHBORS,
+                 lambda d: _set_first_knn_column(d, d["dim"]), id="knn-column-at-dim"),
+    pytest.param(ModelKind.K_NEAREST_NEIGHBORS,
+                 lambda d: _set_first_knn_column(d, -1), id="knn-column-negative"),
+])
+def test_payload_that_disagrees_with_dim_is_reported_corrupt(tmp_path, kind, corrupt):
+    model = _fast_model(kind, _clustered(np.random.default_rng(191), per_class=2))
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    document = json.loads(path.read_text())
+    corrupt(document)
+    path.write_text(json.dumps(document))
+    with pytest.raises(CorruptModel):
+        load_model(path)
+
+
 def test_future_format_version_is_rejected(tmp_path):
     rng = np.random.default_rng(179)
     model = train(ModelKind.DECISION_TREE, _clustered(rng, per_class=2))

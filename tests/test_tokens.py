@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import re
 from collections import Counter
 
@@ -32,7 +33,9 @@ def _call(name: str, *args: str) -> ApiCallRecord:
 
 def _report(names_with_args, counts=(), sample_id="r", label=ClassLabel.TROJAN) -> BehaviorReport:
     calls = tuple(_call(n, *a) for n, a in names_with_args)
-    return BehaviorReport(sample_id, label, calls, tuple(counts))
+    ends = list(itertools.accumulate(counts or (len(calls),)))
+    processes = tuple(calls[start:end] for start, end in zip([0, *ends], ends))
+    return BehaviorReport(sample_id, label, processes)
 
 
 def test_canonical_token_name_plus_two_arguments():
