@@ -191,6 +191,17 @@ class Learner:
         raise NotImplementedError
 
 
+def is_class_ordinal(value: object) -> bool:
+    return _is_int(value) and 0 <= value < N_CLASSES
+
+
+def check_heads(heads: list) -> None:
+    """Reject loaded class heads unless they are distinct class ordinals in
+    ascending order, as ``fit`` lists the classes it saw."""
+    if not (all(map(is_class_ordinal, heads)) and heads == sorted(set(heads))):
+        raise ValueError(f"heads {heads} are not distinct ascending class ordinals in [0, {N_CLASSES})")
+
+
 def check_head_shapes(weights: np.ndarray, bias: np.ndarray, n_heads: int, dim: int) -> None:
     """Reject a loaded linear model unless it has one row of ``dim`` weights
     and one bias per class head."""

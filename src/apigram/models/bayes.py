@@ -14,7 +14,7 @@ import numpy as np
 from ..errors import DegenerateData
 from ..labels import N_CLASSES
 from ..vectorize import FeatureMatrix
-from .base import Learner, check_head_shapes
+from .base import Learner, check_head_shapes, check_heads
 
 
 class NaiveBayesLearner(Learner):
@@ -43,6 +43,7 @@ class NaiveBayesLearner(Learner):
             log_prior=list(payload["log_prior"]),
             log_theta=payload["log_theta"],
         )
+        check_heads(learner.heads)
         check_head_shapes(learner._W, learner._b, len(learner.heads), dim)
         return learner
 

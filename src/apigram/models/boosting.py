@@ -12,8 +12,15 @@ import numpy as np
 
 from ..labels import N_CLASSES
 from ..vectorize import FeatureMatrix
-from .base import Learner
-from .cart import grow_regression_tree, leaf_table, presort, tree_apply
+from .base import Learner, check_heads
+from .cart import (
+    check_nodes,
+    grow_regression_tree,
+    leaf_table,
+    new_regression_workspace,
+    presort,
+    tree_apply,
+)
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -58,8 +65,15 @@ class GradientBoostedTreesLearner(Learner):
 
     @classmethod
     def from_payload(cls, payload: dict, dim: int) -> "GradientBoostedTreesLearner":
+        heads = list(payload["heads"])
+        check_heads(heads)
+        for round_trees in payload["rounds"]:
+            if len(round_trees) != len(heads):
+                raise ValueError(f"a round holds {len(round_trees)} trees for {len(heads)} heads")
+            for nodes in round_trees:
+                check_nodes(nodes, dim, "v")
         return cls(
-            heads=list(payload["heads"]),
+            heads=heads,
             rounds=payload["rounds"],
             learning_rate=float(payload["learning_rate"]),
             train_loss=list(payload["train_loss"]),
@@ -82,6 +96,8 @@ def fit(
     min_leaf = int(params["min_samples_leaf"])
 
     sorted_columns = presort(X)
+    # One workspace for every tree of the fit: see ``cart.SplitWorkspace``.
+    workspace = new_regression_workspace(sorted_columns)
     F = np.zeros((n, len(heads)), dtype=np.float64)
     true_cols = np.array([head_of[int(c)] for c in y])
 
@@ -97,7 +113,7 @@ def fit(
         for i in range(len(heads)):
             g = P[:, i] - Y[:, i]
             h = P[:, i] * (1.0 - P[:, i])
-            nodes = grow_regression_tree(X, g, h, depth, min_leaf, lam, sorted_columns)
+            nodes = grow_regression_tree(X, g, h, depth, min_leaf, lam, sorted_columns, workspace)
             round_trees.append(nodes)
         for i, nodes in enumerate(round_trees):
             F[:, i] += lr * _tree_values(nodes, X)

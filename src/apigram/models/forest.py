@@ -15,7 +15,7 @@ import numpy as np
 from ..labels import N_CLASSES
 from ..vectorize import FeatureMatrix
 from .base import Learner
-from .cart import grow_classification_tree, leaf_table, tree_apply
+from .cart import check_nodes, grow_classification_tree, leaf_table, tree_apply
 
 
 def _resolve_mtry(max_features: object, n_features: int) -> int | None:
@@ -45,6 +45,8 @@ class RandomForestLearner(Learner):
 
     @classmethod
     def from_payload(cls, payload: dict, dim: int) -> "RandomForestLearner":
+        for nodes in payload["trees"]:
+            check_nodes(nodes, dim, "c")
         return cls(trees=payload["trees"])
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from ..labels import N_CLASSES
 from ..vectorize import FeatureMatrix
-from .base import Learner
+from .base import Learner, is_class_ordinal
 
 
 class KNearestNeighborsLearner(Learner):
@@ -52,7 +52,10 @@ class KNearestNeighborsLearner(Learner):
             raise ValueError(f"kNN payload dim {payload['dim']} differs from the model's {dim}")
         if not all(0 <= int(j) < dim for pairs in rows for j, _ in pairs):
             raise ValueError(f"a kNN row holds a column outside [0, {dim})")
-        return cls(rows=rows, labels=list(payload["labels"]), k=int(payload["k"]), dim=dim)
+        labels = list(payload["labels"])
+        if len(labels) != len(rows) or not all(map(is_class_ordinal, labels)):
+            raise ValueError(f"kNN labels must be one class ordinal in [0, {N_CLASSES}) per row")
+        return cls(rows=rows, labels=labels, k=int(payload["k"]), dim=dim)
 
 
 def fit(matrix: FeatureMatrix, y: np.ndarray, params: dict, seed: int) -> KNearestNeighborsLearner:

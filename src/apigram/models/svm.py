@@ -11,7 +11,7 @@ import numpy as np
 
 from ..labels import N_CLASSES
 from ..vectorize import FeatureMatrix
-from .base import Learner, check_head_shapes
+from .base import Learner, check_head_shapes, check_heads
 
 _GATHER_BYTES = 2 << 20
 
@@ -43,6 +43,7 @@ class LinearSvmLearner(Learner):
             weights=payload["weights"],
             bias=list(payload["bias"]),
         )
+        check_heads(learner.heads)
         check_head_shapes(learner._W, learner._b, len(learner.heads), dim)
         return learner
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,8 +18,9 @@ from apigram.errors import (
     VersionMismatch,
 )
 from apigram.labels import ALL_LABELS, ClassLabel
-from apigram.models import cart, forest, neighbors, svm
+from apigram.models import boosting, cart, forest, neighbors, svm
 from apigram.models import (
+    DEFAULT_PARAMS,
     ClassDistribution,
     HyperParams,
     ModelKind,
@@ -235,16 +237,16 @@ def _brute_force_split(X, idx, features, min_leaf, rate):
     return best
 
 
-def _node_rows_presorted(X, idx):
-    """The presorted sort of the node ``idx``: the root state of X,
-    partitioned so that its first ``idx.size`` places hold the node."""
-    state = cart.presort(X)
-    features = np.arange(X.shape[1])
+def _node_rows_presorted(X, idx, stats):
+    """The presorted sort of the node ``idx`` and its workspace: the root
+    state of X, partitioned so that its first ``idx.size`` places hold the
+    node."""
+    workspace = cart.SplitWorkspace(cart.presort(X), stats)
     side = np.zeros(X.shape[0], dtype=bool)
     side[idx] = True
     if idx.size < X.shape[0]:
-        features, _ = cart._partition(state, features, side, 0, idx.size, X.shape[0])
-    return cart._presorted(state, features, 0, idx.size)
+        cart._partition(workspace, side, 0, idx.size, X.shape[0])
+    return cart._presorted(workspace, 0, idx.size), workspace
 
 
 @pytest.mark.parametrize("block_elements", [None, 1, 40])
@@ -276,25 +278,30 @@ def test_split_search_matches_brute_force_enumeration(monkeypatch, block_element
             return gl ** 2 / (hl + lam) + gr ** 2 / (hr + lam)
 
         onehot = np.eye(8, dtype=np.int64)[y]
-        gh = np.column_stack((g, h))
+        gh = np.empty(n, dtype=np.complex128)
+        gh.real, gh.imag = g, h
         expected = {
             "gini": _brute_force_split(X, idx, features, min_leaf, gini),
             "newton": _brute_force_split(X, idx, features, min_leaf, newton),
         }
-        # Both sort paths: the node's own argsort (any row order) and the
-        # presorted columns, which search every feature.
-        for sort_block, candidates, wanted in (
-            (cart._argsorted(X, idx), features, expected),
-            (_node_rows_presorted(X, np.sort(idx)), np.arange(6), {
-                "gini": _brute_force_split(X, idx, range(6), min_leaf, gini),
-                "newton": _brute_force_split(X, idx, range(6), min_leaf, newton),
-            }),
+        every_feature = {
+            "gini": _brute_force_split(X, idx, range(6), min_leaf, gini),
+            "newton": _brute_force_split(X, idx, range(6), min_leaf, newton),
+        }
+        for stats, score, rate in (
+            (onehot, cart._gini_score, "gini"),
+            (gh, lambda l, r, nl, nr: cart._newton_score(l, r, nl, lam), "newton"),
         ):
-            for stats, score, rate in (
-                (onehot, cart._gini_score, "gini"),
-                (gh, lambda l, r, nl, nr: cart._newton_score(l, r, lam), "newton"),
+            # Both sort paths: the node's own argsort (any row order) and
+            # the presorted columns, which search every feature and use the
+            # workspace's buffers.
+            presorted, workspace = _node_rows_presorted(X, np.sort(idx), stats)
+            for sort_block, candidates, wanted, scratch in (
+                (cart._argsorted(X, idx), features, expected, None),
+                (presorted, np.arange(6), every_feature, workspace),
             ):
-                got = cart._best_split(stats, idx.size, candidates, sort_block, min_leaf, score)
+                got = cart._best_split(stats, idx.size, candidates, sort_block, min_leaf, score,
+                                       scratch)
                 assert got == wanted[rate]
 
 
@@ -447,6 +454,49 @@ def test_presorted_engine_grows_the_per_node_argsort_trees(monkeypatch, block_el
         with monkeypatch.context() as patch:
             patch.setattr(forest, "grow_classification_tree", _reference_classification_tree)
             assert got == forest.fit(matrix, y, params, seed=case).trees
+
+
+@pytest.mark.parametrize("block_elements", [None, 1, 40])
+def test_one_workspace_grows_the_trees_of_fresh_ones(monkeypatch, block_elements):
+    if block_elements is not None:
+        monkeypatch.setattr(cart, "_BLOCK_ELEMENTS", block_elements)
+    rng = np.random.default_rng(197)
+    for case in range(40):
+        X = _tie_heavy(rng)
+        n = X.shape[0]
+        max_depth = int(rng.choice([0, 1, 6]))
+        min_leaf = int(rng.integers(1, 5))
+        root = cart.presort(X)
+        before = [part.copy() for part in root]
+        workspace = cart.new_regression_workspace(root)
+        # lam 0 with zero hessians makes infinite and NaN scores.
+        lam = 0.0 if case % 3 == 0 else 1.0
+        for _ in range(4):
+            p = rng.random(n)
+            p[rng.random(n) < 0.2] = 1.0
+            g, h = p - (rng.random(n) < 0.5), p * (1.0 - p)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                assert cart.grow_regression_tree(X, g, h, max_depth, min_leaf, lam, root, workspace) == \
+                    cart.grow_regression_tree(X, g, h, max_depth, min_leaf, lam, root)
+        assert all(np.array_equal(a, b) for a, b in zip(root, before))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor page faults")
+def test_boosting_fit_reuses_its_scratch_memory():
+    import resource
+
+    # Block-sized arrays allocated and freed per node go back to the kernel
+    # and fault in again at the next node: about 470 k minor faults here.
+    rng = np.random.default_rng(199)
+    dense = rng.random((640, 116))
+    dense[rng.random(dense.shape) < 0.9] = 0.0
+    y = np.arange(640) % 8
+    dense[np.arange(640), y] += 1.0
+    matrix = _matrix(dense, [ALL_LABELS[c] for c in y])
+    params = dict(DEFAULT_PARAMS[ModelKind.GRADIENT_BOOSTED_TREES], n_rounds=50)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    boosting.fit(matrix, y, params, seed=0)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 50_000
 
 
 # ---------------------------------------------------------------------------
@@ -854,6 +904,66 @@ def _set_first_knn_column(document, column):
                  lambda d: _set_first_knn_column(d, -1), id="knn-column-negative"),
 ])
 def test_payload_that_disagrees_with_dim_is_reported_corrupt(tmp_path, kind, corrupt):
+    _assert_corrupt_after_edit(tmp_path, kind, corrupt)
+
+
+def _first_split(nodes):
+    return next(node for node in nodes if "f" in node)
+
+
+def _first_leaf(nodes):
+    return next(node for node in nodes if "f" not in node)
+
+
+def _gbt_tree(document):
+    return document["payload"]["rounds"][0][0]
+
+
+@pytest.mark.parametrize("kind, corrupt", [
+    pytest.param(ModelKind.GRADIENT_BOOSTED_TREES,
+                 lambda d: d["payload"]["heads"].__setitem__(-1, 9), id="gbt-heads-holding-9"),
+    pytest.param(ModelKind.GRADIENT_BOOSTED_TREES,
+                 lambda d: d["payload"]["heads"].reverse(), id="gbt-heads-descending"),
+    pytest.param(ModelKind.GRADIENT_BOOSTED_TREES,
+                 lambda d: d["payload"]["rounds"][0].pop(), id="gbt-round-one-tree-short"),
+    pytest.param(ModelKind.GRADIENT_BOOSTED_TREES,
+                 lambda d: _first_split(_gbt_tree(d)).update(f=d["dim"]), id="gbt-feature-at-dim"),
+    pytest.param(ModelKind.GRADIENT_BOOSTED_TREES,
+                 lambda d: _first_split(_gbt_tree(d)).update(f=-1), id="gbt-feature-negative"),
+    pytest.param(ModelKind.GRADIENT_BOOSTED_TREES,
+                 lambda d: _first_split(_gbt_tree(d)).update(l=99), id="gbt-child-99"),
+    pytest.param(ModelKind.GRADIENT_BOOSTED_TREES,
+                 lambda d: _first_split(_gbt_tree(d)).update(r=0), id="gbt-child-back-at-root"),
+    pytest.param(ModelKind.GRADIENT_BOOSTED_TREES,
+                 lambda d: _first_leaf(_gbt_tree(d)).pop("v"), id="gbt-leaf-without-value"),
+    pytest.param(ModelKind.DECISION_TREE,
+                 lambda d: _first_leaf(d["payload"]["nodes"])["c"].pop(), id="tree-counts-one-short"),
+    pytest.param(ModelKind.DECISION_TREE,
+                 lambda d: _first_split(d["payload"]["nodes"]).update(l=0), id="tree-child-back-at-root"),
+    pytest.param(ModelKind.DECISION_TREE,
+                 lambda d: _first_split(d["payload"]["nodes"]).update(f=d["dim"]), id="tree-feature-at-dim"),
+    pytest.param(ModelKind.RANDOM_FOREST,
+                 lambda d: _first_split(d["payload"]["trees"][0]).update(r=99), id="forest-child-99"),
+])
+def test_malformed_tree_payload_is_reported_corrupt(tmp_path, kind, corrupt):
+    _assert_corrupt_after_edit(tmp_path, kind, corrupt)
+
+
+@pytest.mark.parametrize("kind, corrupt", [
+    pytest.param(ModelKind.LINEAR_SVM,
+                 lambda d: d["payload"]["heads"].__setitem__(-1, 9), id="svm-heads-holding-9"),
+    pytest.param(ModelKind.MULTINOMIAL_NAIVE_BAYES,
+                 lambda d: d["payload"]["heads"].__setitem__(-1, 9), id="nb-heads-holding-9"),
+    pytest.param(ModelKind.K_NEAREST_NEIGHBORS,
+                 lambda d: d["payload"]["labels"].__setitem__(0, 12), id="knn-label-12"),
+    pytest.param(ModelKind.K_NEAREST_NEIGHBORS,
+                 lambda d: d["payload"]["labels"].pop(), id="knn-one-label-short"),
+])
+def test_out_of_range_class_ordinals_are_reported_corrupt(tmp_path, kind, corrupt):
+    _assert_corrupt_after_edit(tmp_path, kind, corrupt)
+
+
+def _assert_corrupt_after_edit(tmp_path, kind, corrupt):
     model = _fast_model(kind, _clustered(np.random.default_rng(191), per_class=2))
     path = tmp_path / "model.json"
     save_model(model, path)
