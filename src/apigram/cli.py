@@ -5,7 +5,8 @@ own, so ``pipeline`` is exactly the chained single stages. Every config
 key can be set in a config file (``key = value`` lines), through a flag
 of the same name (dots and underscores become dashes, so
 ``selection.target_ratio`` is ``--selection-target-ratio``), or through
-``--set key=value``. Specific flags beat ``--set``, which beats the file.
+``--set key=value``. Specific flags beat ``--set``, which beats the file;
+the merged layers are checked once, before any command writes.
 """
 from __future__ import annotations
 
@@ -17,18 +18,12 @@ import sys
 from collections.abc import Iterator
 from pathlib import Path
 
-from .config import SCHEMA, PipelineConfig, coerce, read_config
+from .config import SCHEMA, PipelineConfig, coerce, read_config_values
 from .errors import ConfigError, IoFailure, MalformedJson, MissingArtifact, PipelineError
-from .evaluate import SplitSpec, evaluate, emit_report, stratified_split
+from .evaluate import evaluate, emit_report, stratified_split
 from .ingest import BehaviorReport, load_corpus, load_manifest, report_from_json_line, report_to_json_bytes
-from .models import HyperParams, ModelKind, load_model, save_model, train
-from .select import (
-    SelectionConfig,
-    hybrid_select,
-    read_mask,
-    write_mask,
-    write_selection_report,
-)
+from .models import load_model, save_model, train
+from .select import hybrid_select, read_mask, write_mask, write_selection_report
 from .synth import default_spec, generate_corpus, write_corpus
 from .tokens import (
     build_vocabulary,
@@ -49,6 +44,20 @@ _ALIASES: dict[str, tuple[str, ...]] = {
     "io.manifest": ("--manifest",),
     "selection.target_ratio": ("--target-ratio",),
     "split.train_ratio": ("--train-ratio",),
+}
+
+# Shorthand toggles: flag -> (help text, the values it sets).
+_TOGGLES: dict[str, tuple[str, dict[str, object]]] = {
+    "--no-lexical": ("disable the lexical filter (selection.lexical_rules = empty)",
+                     {"selection.lexical_rules": ()}),
+    "--no-frequency": ("disable the frequency filter (min_df 1, max_df_ratio 1.0)",
+                       {"selection.min_df": 1, "selection.max_df_ratio": 1.0}),
+    "--no-selection": ("skip feature selection entirely (selection.enabled = false)",
+                       {"selection.enabled": False}),
+    "--select-on-all": ("fit selection on all rows (selection.on_all = true)",
+                        {"selection.on_all": True}),
+    "--reset-at-process": ("restart n-gram windows at process boundaries",
+                           {"ngram.reset_at_process": True}),
 }
 
 _STAGES = ("synth", "ingest", "featurize", "select", "train", "evaluate", "pipeline")
@@ -81,16 +90,8 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
             help=f"{help_text} [{key} = {shown!r}]",
         )
     toggles = parser.add_argument_group("shorthand toggles")
-    toggles.add_argument("--no-lexical", action="store_true",
-                         help="disable the lexical filter (selection.lexical_rules = empty)")
-    toggles.add_argument("--no-frequency", action="store_true",
-                         help="disable the frequency filter (min_df 1, max_df_ratio 1.0)")
-    toggles.add_argument("--no-selection", action="store_true",
-                         help="skip feature selection entirely (selection.enabled = false)")
-    toggles.add_argument("--select-on-all", action="store_true",
-                         help="fit selection on all rows (selection.on_all = true)")
-    toggles.add_argument("--reset-at-process", action="store_true",
-                         help="restart n-gram windows at process boundaries")
+    for flag, (help_text, _) in _TOGGLES.items():
+        toggles.add_argument(flag, action="store_true", dest=flag, help=help_text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,29 +118,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(args: argparse.Namespace) -> PipelineConfig:
-    cfg = read_config(args.config) if args.config else PipelineConfig({})
-    overrides: dict[str, object] = {}
+    """Merge the file, ``--set``, flag and toggle layers, then build one config."""
+    values = read_config_values(args.config) if args.config else {}
     for item in args.sets:
         key, sep, value = item.partition("=")
         if not sep:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        overrides[key.strip()] = coerce(key.strip(), value.strip())
+        values[key.strip()] = coerce(key.strip(), value.strip())
     for key in SCHEMA:
         raw = getattr(args, _dest(key), None)
         if raw is not None:
-            overrides[key] = coerce(key, raw)
-    if args.no_lexical:
-        overrides["selection.lexical_rules"] = ()
-    if args.no_frequency:
-        overrides["selection.min_df"] = 1
-        overrides["selection.max_df_ratio"] = 1.0
-    if args.no_selection:
-        overrides["selection.enabled"] = False
-    if args.select_on_all:
-        overrides["selection.on_all"] = True
-    if args.reset_at_process:
-        overrides["ngram.reset_at_process"] = True
-    return cfg.with_overrides(overrides)
+            values[key] = coerce(key, raw)
+    for flag, (_, implied) in _TOGGLES.items():
+        if getattr(args, flag):
+            values.update(implied)
+    return PipelineConfig(values)
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +174,19 @@ def _write_split(cfg: PipelineConfig, sample_ids, train_rows, test_rows) -> Path
 def _read_split(cfg: PipelineConfig) -> tuple[list[int], list[int]]:
     path = _require(cfg.workdir / "split.csv", "featurize")
     parts: dict[str, list[int]] = {"train": [], "test": []}
+    seen: set[int] = set()
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader, None)
         for line_no, record in enumerate(reader, start=2):
             try:
-                parts[record[2]].append(int(record[0]))
+                row, part = int(record[0]), parts[record[2]]
             except (IndexError, KeyError, ValueError) as exc:
                 raise IoFailure(f"{path}:{line_no}: bad split record {record!r}") from exc
+            if row in seen:
+                raise IoFailure(f"{path}:{line_no}: row {row} is listed twice")
+            seen.add(row)
+            part.append(row)
     return parts["train"], parts["test"]
 
 
@@ -251,12 +249,7 @@ def cmd_featurize(cfg: PipelineConfig) -> None:
         for n in sizes:
             document_sets[str(n)].extend(documents_for_n([report], n, max_args, reset))
 
-    spec = SplitSpec(
-        train_ratio=float(cfg["split.train_ratio"]),
-        seed=int(cfg["seed"]),
-        stratified=bool(cfg["split.stratified"]),
-    )
-    train_rows, test_rows = stratified_split(labels, spec)
+    train_rows, test_rows = stratified_split(labels, cfg.split)
     _write_split(cfg, sample_ids, train_rows, test_rows)
 
     if cfg["ngram.combine"]:
@@ -289,31 +282,18 @@ def cmd_select(cfg: PipelineConfig) -> None:
     if not cfg["selection.on_all"]:
         tfidf = tfidf.select_rows(train_rows)
         freq = freq.select_rows(train_rows)
-    selection = SelectionConfig(
-        lexical_filters=frozenset(cfg["selection.lexical_rules"]),
-        min_df=int(cfg["selection.min_df"]),
-        max_df_ratio=float(cfg["selection.max_df_ratio"]),
-        mi_top_ratio=float(cfg["selection.mi_top_ratio"]),
-        corr_threshold=float(cfg["selection.corr_threshold"]),
-        target_ratio=float(cfg["selection.target_ratio"]),
-    )
-    mask = hybrid_select(tfidf, freq, vocabulary, selection)
+    mask = hybrid_select(tfidf, freq, vocabulary, cfg.selection)
     write_mask(cfg.workdir / "selection_mask.csv", mask, vocabulary)
     write_selection_report(cfg.workdir / "selection_report.csv", mask)
     chain = " -> ".join(f"{stage}:{n_out}" for stage, _, n_out in mask.provenance)
     print(f"select: kept {len(mask)} of {len(vocabulary)} features ({chain})")
 
 
-def _model_settings(cfg: PipelineConfig) -> tuple[ModelKind, HyperParams]:
-    kind = ModelKind.from_name(str(cfg["model.kind"]))
-    return kind, HyperParams(seed=int(cfg["seed"]), values=cfg.model_params())
-
-
 def cmd_train(cfg: PipelineConfig) -> None:
     matrix = _masked_tfidf(cfg)
     train_rows, _ = _read_split(cfg)
     training = matrix.select_rows(train_rows)
-    kind, params = _model_settings(cfg)
+    kind, params = cfg.model
     model = train(kind, training, params=params)
     model_path = cfg.workdir / "model.json"
     save_model(model, model_path)
@@ -345,9 +325,6 @@ def cmd_evaluate(cfg: PipelineConfig) -> None:
 
 
 def cmd_pipeline(cfg: PipelineConfig) -> None:
-    # Bad model settings fail here, before any stage rewrites the workdir.
-    kind, params = _model_settings(cfg)
-    params.resolve(kind)
     if not str(cfg["io.manifest"]):
         cmd_synth(cfg)
     cmd_ingest(cfg)

@@ -5,8 +5,11 @@ same keys appear in three places with identical names: the config file
 (``selection.target_ratio = 0.016`` per line), the command line
 (``--selection-target-ratio 0.016``), and this schema. Model
 hyperparameters pass through under the ``model.`` prefix (for example
-``model.n_trees = 50``) and are validated later against the chosen
-learner.
+``model.n_trees = 50``).
+
+A :class:`PipelineConfig` is checked once, at construction, on the merged
+values: it builds each stage's typed settings by that stage's own rule, so
+a bad setting fails a command before anything is written.
 
 Configs round-trip losslessly: ``read_config(write_config(cfg)) == cfg``.
 """
@@ -16,7 +19,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
-from .select import ALL_LEXICAL_RULES
+from .evaluate import SplitSpec
+from .models import HyperParams, ModelKind
+from .select import ALL_LEXICAL_RULES, SelectionConfig
 
 # key -> (type tag, default, help text). Type tags: int, float, bool,
 # str, ints (comma list of int), strs (comma list of str).
@@ -110,9 +115,13 @@ def _format_value(value: object) -> str:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Immutable view over the full key space, defaults filled in."""
+    """Immutable view over the full key space, defaults filled in, plus the
+    stages' typed settings: ``selection``, ``split`` and ``model`` (kind, params)."""
 
     values: dict[str, object] = field(default_factory=dict)
+    selection: SelectionConfig = field(init=False, repr=False, compare=False)
+    split: SplitSpec = field(init=False, repr=False, compare=False)
+    model: tuple[ModelKind, HyperParams] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         merged = {key: default for key, (_, default, _) in SCHEMA.items()}
@@ -122,6 +131,22 @@ class PipelineConfig:
             merged[key] = value
         object.__setattr__(self, "values", merged)
         self._validate()
+        object.__setattr__(self, "selection", SelectionConfig(
+            lexical_filters=frozenset(self["selection.lexical_rules"]),
+            min_df=int(self["selection.min_df"]),
+            max_df_ratio=float(self["selection.max_df_ratio"]),
+            mi_top_ratio=float(self["selection.mi_top_ratio"]),
+            corr_threshold=float(self["selection.corr_threshold"]),
+            target_ratio=float(self["selection.target_ratio"])))
+        object.__setattr__(self, "split", SplitSpec(
+            train_ratio=float(self["split.train_ratio"]), seed=int(self["seed"]),
+            stratified=bool(self["split.stratified"])))
+        kind = ModelKind.from_name(str(self["model.kind"]))
+        params = HyperParams(seed=int(self["seed"]), values={
+            key[len(_MODEL_PREFIX):]: value for key, value in merged.items()
+            if key.startswith(_MODEL_PREFIX) and key != "model.kind"})
+        params.resolve(kind)
+        object.__setattr__(self, "model", (kind, params))
 
     def _validate(self) -> None:
         if self["synth.scale"] not in ("tiny", "desk"):
@@ -140,9 +165,6 @@ class PipelineConfig:
                 f"ngram.active must be one of {sorted(valid_active)}, "
                 f"got {self['ngram.active']!r}"
             )
-        for rule in self["selection.lexical_rules"]:
-            if rule not in ALL_LEXICAL_RULES:
-                raise ConfigError(f"unknown lexical rule {rule!r}")
 
     def __getitem__(self, key: str) -> object:
         try:
@@ -164,16 +186,11 @@ class PipelineConfig:
         explicit = str(self["io.manifest"])
         return Path(explicit) if explicit else self.workdir / "manifest.csv"
 
-    def model_params(self) -> dict[str, object]:
-        return {
-            key[len(_MODEL_PREFIX):]: value
-            for key, value in self.values.items()
-            if key.startswith(_MODEL_PREFIX) and key != "model.kind"
-        }
 
-
-def read_config(path: str | Path) -> PipelineConfig:
-    """Parse a ``key = value`` per-line config file ('#' starts a comment)."""
+def read_config_values(path: str | Path) -> dict[str, object]:
+    """Parse a ``key = value`` per-line config file ('#' starts a comment)
+    into typed values, unchecked against each other: a later layer may
+    still complete them."""
     values: dict[str, object] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -187,7 +204,12 @@ def read_config(path: str | Path) -> PipelineConfig:
             raise ConfigError(f"{path}:{line_no}: expected 'key = value', got {raw_line!r}")
         key, _, value = line.partition("=")
         values[key.strip()] = coerce(key.strip(), value.strip())
-    return PipelineConfig(values)
+    return values
+
+
+def read_config(path: str | Path) -> PipelineConfig:
+    """Read a config file as one complete config, checked on its own."""
+    return PipelineConfig(read_config_values(path))
 
 
 def write_config(config: PipelineConfig, path: str | Path) -> None:

@@ -351,15 +351,25 @@ def load_model(path: str | Path) -> TrainedModel:
         classes = tuple(ClassLabel.from_name(name) for name in document["classes"])
         if classes != ALL_LABELS:
             raise KeyError("class roster mismatch")
-        learner = _learner_kind(kind)[1].from_payload(document["payload"], dim)
+        payload = document["payload"]
+        learner = _learner_kind(kind)[1].from_payload(payload, dim)
+        # ``train`` records the resolved settings, and the payload repeats
+        # some of them (kNN ``k``, GBT ``learning_rate``): both must match.
+        hyperparams = dict(document["hyperparams"])
+        if HyperParams(values=hyperparams).resolve(kind) != hyperparams:
+            raise ValueError(f"hyperparams {hyperparams} are not a full {kind.value} set")
+        differing = sorted(key for key in payload.keys() & hyperparams.keys()
+                           if payload[key] != hyperparams[key])
+        if differing:
+            raise ValueError(f"payload settings {differing} differ from hyperparams")
         return TrainedModel(
             kind=kind,
             dim=dim,
             classes=classes,
-            hyperparams=dict(document["hyperparams"]),
+            hyperparams=hyperparams,
             seed=int(document["seed"]),
             data_fingerprint=str(document.get("data_fingerprint", "")),
             learner=learner,
         )
-    except (KeyError, ValueError, TypeError, IndexError) as exc:
+    except (KeyError, ValueError, TypeError, IndexError, ConfigError) as exc:
         raise CorruptModel(f"model file {path} is malformed: {exc}") from exc

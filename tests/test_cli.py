@@ -9,8 +9,11 @@ import pytest
 from apigram import cli
 from apigram.cli import build_parser, main, resolve_config
 from apigram.config import SCHEMA, PipelineConfig, read_config, write_config
-from apigram.errors import ConfigError
+from apigram.errors import ConfigError, DimensionMismatch
+from apigram.evaluate import SplitSpec
 from apigram.ingest import load_manifest, report_from_json_line, write_manifest
+from apigram.models import HyperParams, ModelKind
+from apigram.select import SelectionConfig
 
 
 def _run(*argv):
@@ -215,15 +218,33 @@ def test_non_finite_selection_ratio_reports_an_error(tmp_path, setting, capsys):
     assert _error_line(capsys)["error"] == "DimensionMismatch"
 
 
-@pytest.mark.parametrize(
-    "bad", [("--model", "nosuch"), ("--set", "model.n_trees=0")], ids=["unknown-kind", "zero-trees"]
-)
-def test_pipeline_rejects_bad_model_settings_before_any_stage(tmp_path, bad, capsys):
+@pytest.mark.parametrize("bad, code", [
+    pytest.param(("--model", "nosuch"), "ConfigError", id="unknown-kind"),
+    pytest.param(("--set", "model.n_trees=0"), "ConfigError", id="zero-trees"),
+    pytest.param(("--set", "selection.target_ratio=2"), "DimensionMismatch", id="target-ratio-2"),
+    pytest.param(("--set", "split.train_ratio=1.5"), "DimensionMismatch", id="train-ratio-1.5"),
+    pytest.param(("--set", "selection.min_df=0"), "DimensionMismatch", id="min-df-0"),
+    pytest.param(("--set", "selection.mi_top_ratio=inf"), "DimensionMismatch", id="mi-top-ratio-inf"),
+])
+def test_pipeline_rejects_bad_model_settings_before_any_stage(tmp_path, bad, code, capsys):
     workdir = tmp_path / "run"
     assert _run("pipeline", "--scale", "tiny", "--workdir", str(workdir), *bad) == 2
-    assert _error_line(capsys)["error"] == "ConfigError"
+    assert _error_line(capsys)["error"] == code
     assert not (workdir / "corpus.jsonl").exists()
     assert not (workdir / "manifest.csv").exists()
+    assert not workdir.exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(("synth", "--set", "model.n_trees=0"), "ConfigError", id="synth-zero-trees"),
+    pytest.param(("train", "--no-selection", "--set", "selection.target_ratio=2"),
+                 "DimensionMismatch", id="no-selection-target-ratio-2"),
+])
+def test_settings_of_stages_a_command_skips_are_still_checked(tmp_path, argv, code, capsys):
+    workdir = tmp_path / "run"
+    assert _run(*argv, "--workdir", str(workdir)) == 2
+    assert _error_line(capsys)["error"] == code
+    assert not workdir.exists()
 
 
 def test_split_row_outside_the_matrix_reports_an_error(tmp_path, capsys):
@@ -244,7 +265,11 @@ def test_malformed_split_record_reports_an_io_failure(tmp_path, capsys):
     assert _run(*_tiny_args(workdir, "--no-selection")) == 0
     split = workdir / "split.csv"
     good = split.read_text()
-    for bad in ("0,s0\n", "zero,s0,train\n", "0,s0,holdout\n"):
+    first = good.splitlines()[1] + "\n"
+    test_rows_as_train = "".join(
+        line.replace(",test", ",train") + "\n" for line in good.splitlines() if line.endswith(",test")
+    )
+    for bad in ("0,s0\n", "zero,s0,train\n", "0,s0,holdout\n", first, test_rows_as_train):
         split.write_text(good + bad)
         capsys.readouterr()
         assert _run("train", "--workdir", str(workdir), "--no-selection",
@@ -392,6 +417,47 @@ def test_flag_beats_set_beats_config_file(tmp_path):
         ["synth", "--config", str(path), "--set", "seed=2", "--seed", "3"]
     )
     assert resolve_config(args)["seed"] == 3
+
+
+def test_config_file_completed_by_a_later_layer_is_accepted(tmp_path):
+    path = tmp_path / "run.conf"
+    path.write_text("ngram.sizes = 1,2,3\nngram.active = union\n")
+    with pytest.raises(ConfigError):
+        read_config(path)
+    args = build_parser().parse_args(
+        ["featurize", "--config", str(path), "--ngram-combine", "true"]
+    )
+    config = resolve_config(args)
+    assert config["ngram.active"] == "union"
+    assert config["ngram.combine"] is True
+
+
+def test_config_builds_each_stage_settings_by_the_stage_rule():
+    config = PipelineConfig({
+        "seed": 4,
+        "selection.lexical_rules": ("is-pure-numeric",),
+        "selection.min_df": 3,
+        "selection.max_df_ratio": 0.9,
+        "selection.mi_top_ratio": 0.2,
+        "selection.corr_threshold": 0.8,
+        "selection.target_ratio": 0.1,
+        "split.train_ratio": 0.6,
+        "split.stratified": False,
+        "model.kind": "knn",
+        "model.k": 3,
+    })
+    assert config.selection == SelectionConfig(
+        lexical_filters=frozenset({"is-pure-numeric"}), min_df=3, max_df_ratio=0.9,
+        mi_top_ratio=0.2, corr_threshold=0.8, target_ratio=0.1,
+    )
+    assert config.split == SplitSpec(train_ratio=0.6, seed=4, stratified=False)
+    assert config.model == (ModelKind.K_NEAREST_NEIGHBORS, HyperParams(seed=4, values={"k": 3}))
+    assert PipelineConfig({}).selection == SelectionConfig()
+    for bad in ({"split.train_ratio": 1.5}, {"selection.lexical_rules": ("nosuch",)}):
+        with pytest.raises(DimensionMismatch):
+            PipelineConfig(bad)
+    with pytest.raises(ConfigError):
+        PipelineConfig({"model.kind": "knn", "model.k": 0})
 
 
 def test_toggle_flags_override_file_settings(tmp_path):

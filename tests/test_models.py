@@ -963,6 +963,30 @@ def test_out_of_range_class_ordinals_are_reported_corrupt(tmp_path, kind, corrup
     _assert_corrupt_after_edit(tmp_path, kind, corrupt)
 
 
+def _set_setting(document, key, value):
+    """Write one setting into both places a model file holds it."""
+    document["hyperparams"][key] = value
+    document["payload"][key] = value
+
+
+@pytest.mark.parametrize("kind, corrupt", [
+    pytest.param(ModelKind.K_NEAREST_NEIGHBORS,
+                 lambda d: _set_setting(d, "k", 0), id="knn-k-0"),
+    pytest.param(ModelKind.GRADIENT_BOOSTED_TREES,
+                 lambda d: _set_setting(d, "learning_rate", math.nan), id="gbt-learning-rate-nan"),
+    pytest.param(ModelKind.GRADIENT_BOOSTED_TREES,
+                 lambda d: _set_setting(d, "learning_rate", -5.0), id="gbt-learning-rate-minus-5"),
+    pytest.param(ModelKind.K_NEAREST_NEIGHBORS,
+                 lambda d: d["payload"].update(k=d["hyperparams"]["k"] + 1), id="knn-payload-k-differs"),
+    pytest.param(ModelKind.DECISION_TREE,
+                 lambda d: d["hyperparams"].update(depth=3), id="tree-unknown-setting"),
+    pytest.param(ModelKind.GRADIENT_BOOSTED_TREES,
+                 lambda d: d["hyperparams"].pop("reg_lambda"), id="gbt-setting-missing"),
+])
+def test_stored_settings_off_their_rule_are_reported_corrupt(tmp_path, kind, corrupt):
+    _assert_corrupt_after_edit(tmp_path, kind, corrupt)
+
+
 def _assert_corrupt_after_edit(tmp_path, kind, corrupt):
     model = _fast_model(kind, _clustered(np.random.default_rng(191), per_class=2))
     path = tmp_path / "model.json"

@@ -18,6 +18,7 @@ REMOVED = {
     "apigram.tokens": ("read_ngram_counts", "tokenize_report"),
     "apigram.evaluate": ("read_confusion",),
     "apigram.select": ("mutual_information",),
+    "apigram.cli": ("_model_settings",),
 }
 
 
@@ -40,6 +41,11 @@ def test_removed_helpers_are_gone(module_name):
 def test_removed_parameters_are_gone():
     assert "labels" not in inspect.signature(apigram.models.train).parameters
     assert "keep_empty" not in inspect.signature(apigram.load_corpus).parameters
+
+
+def test_stage_settings_have_one_builder():
+    # PipelineConfig builds the model settings; no second path may return.
+    assert not hasattr(apigram.PipelineConfig, "model_params")
 
 
 def test_every_traced_attribute_resolves():
