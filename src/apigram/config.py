@@ -8,8 +8,10 @@ hyperparameters pass through under the ``model.`` prefix (for example
 ``model.n_trees = 50``).
 
 A :class:`PipelineConfig` is checked once, at construction, on the merged
-values: it builds each stage's typed settings by that stage's own rule, so
-a bad setting fails a command before anything is written.
+values: each schema value must already have its schema type (``coerce``
+is the one parser of text), and each stage's typed settings are built by
+that stage's own rule, so a bad setting fails a command before anything
+is written.
 
 Configs round-trip losslessly: ``read_config(write_config(cfg)) == cfg``.
 """
@@ -88,6 +90,24 @@ def coerce(key: str, text: str) -> object:
         raise ConfigError(f"bad value for {key}: {exc}") from exc
 
 
+_TYPE_NAMES = {
+    "int": "an integer", "float": "a number", "bool": "a boolean", "str": "a string",
+    "ints": "a tuple of integers", "strs": "a tuple of strings",
+}
+
+
+def _fits(tag: str, value: object) -> bool:
+    """Whether ``value`` has the schema type ``tag``: an int is no bool, a
+    float may be an int, and ints and strs are tuples of their element type."""
+    if tag in ("ints", "strs"):
+        return isinstance(value, tuple) and all(_fits(tag[:-1], item) for item in value)
+    if tag == "bool":
+        return isinstance(value, bool)
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, {"int": int, "float": (int, float), "str": str}[tag])
+
+
 def _coerce_free(text: str) -> object:
     """Best-effort typing for pass-through model hyperparameters."""
     stripped = text.strip()
@@ -126,7 +146,11 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         merged = {key: default for key, (_, default, _) in SCHEMA.items()}
         for key, value in self.values.items():
-            if key not in SCHEMA and not key.startswith(_MODEL_PREFIX):
+            if key in SCHEMA:
+                tag = SCHEMA[key][0]
+                if not _fits(tag, value):
+                    raise ConfigError(f"{key} must be {_TYPE_NAMES[tag]}, got {value!r}")
+            elif not key.startswith(_MODEL_PREFIX):
                 raise ConfigError(f"unknown config key {key!r}")
             merged[key] = value
         object.__setattr__(self, "values", merged)
@@ -157,7 +181,7 @@ class PipelineConfig:
         if not sizes or any(n not in (1, 2, 3) for n in sizes) or len(set(sizes)) != len(sizes):
             raise ConfigError("ngram.sizes must be a non-empty subset of 1,2,3")
         max_args = self["ngram.max_args"]
-        if not isinstance(max_args, int) or isinstance(max_args, bool) or max_args < 0:
+        if max_args < 0:
             raise ConfigError(f"ngram.max_args must be an integer >= 0, got {max_args!r}")
         valid_active = {str(n) for n in sizes} | ({"union"} if self["ngram.combine"] else set())
         if self["ngram.active"] not in valid_active:

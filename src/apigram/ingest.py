@@ -195,6 +195,11 @@ def parse_report(raw: bytes | str, label: ClassLabel, sample_id: str) -> Behavio
 # corpus.jsonl lines
 # ---------------------------------------------------------------------------
 
+# One encoder for every line; a report built from parsed JSON cannot hold a
+# cycle, so the encoder does not look for one.
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+
+
 def report_to_json_bytes(report: BehaviorReport) -> bytes:
     """One ``corpus.jsonl`` line: ``{"label", "processes", "sample_id"}``, each
     process a list of ``[category, name, [arguments...], return]`` string
@@ -206,17 +211,22 @@ def report_to_json_bytes(report: BehaviorReport) -> bytes:
         # their records and each argument tuple serialize as they are.
         "processes": report.processes,
     }
-    return json.dumps(document, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return _LINE_ENCODER.encode(document).encode("utf-8")
 
 
 def _call_from_fields(fields) -> ApiCallRecord:
-    if not (isinstance(fields, list) and len(fields) == 4):
+    # Exact type tests: json.loads builds no str or list subclass.
+    if type(fields) is not list or len(fields) != 4:
         raise ValueError(f"call {fields!r} is not [category, name, arguments, return]")
     category, name, arguments, return_value = fields
-    if not (isinstance(category, str) and isinstance(name, str) and isinstance(return_value, str)
-            and isinstance(arguments, list) and all(isinstance(v, str) for v in arguments)):
-        raise ValueError(f"call {fields!r} holds a non-string field")
-    return ApiCallRecord(category, name, tuple(arguments), return_value)
+    if type(category) is str and type(name) is str and type(return_value) is str and type(arguments) is list:
+        try:
+            "".join(arguments)  # TypeError unless every argument is a str
+        except TypeError:
+            pass
+        else:
+            return ApiCallRecord(category, name, tuple(arguments), return_value)
+    raise ValueError(f"call {fields!r} holds a non-string field")
 
 
 def report_from_json_line(line: str) -> BehaviorReport:

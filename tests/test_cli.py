@@ -8,7 +8,7 @@ import pytest
 
 from apigram import cli
 from apigram.cli import build_parser, main, resolve_config
-from apigram.config import SCHEMA, PipelineConfig, read_config, write_config
+from apigram.config import SCHEMA, PipelineConfig, coerce, read_config, write_config
 from apigram.errors import ConfigError, DimensionMismatch
 from apigram.evaluate import SplitSpec
 from apigram.ingest import load_manifest, report_from_json_line, write_manifest
@@ -458,6 +458,38 @@ def test_config_builds_each_stage_settings_by_the_stage_rule():
             PipelineConfig(bad)
     with pytest.raises(ConfigError):
         PipelineConfig({"model.kind": "knn", "model.k": 0})
+
+
+@pytest.mark.parametrize("key, value", [
+    pytest.param("split.stratified", "false", id="bool-given-text"),
+    pytest.param("selection.min_df", "x", id="int-given-text"),
+    pytest.param("seed", "s", id="seed-given-text"),
+    pytest.param("ngram.sizes", [1], id="ints-given-a-list"),
+    pytest.param("seed", True, id="int-given-a-bool"),
+    pytest.param("selection.target_ratio", False, id="float-given-a-bool"),
+    pytest.param("selection.lexical_rules", ("is-pure-numeric", 1), id="strs-holding-an-int"),
+])
+def test_config_values_must_have_their_schema_type(key, value):
+    # Text is parsed by coerce alone; a value passed in directly is never
+    # converted, so "false" must not become a true bool("false").
+    with pytest.raises(ConfigError) as excinfo:
+        PipelineConfig({key: value})
+    assert key in str(excinfo.value)
+
+
+def test_coerced_and_toggle_values_pass_the_schema_type_check(tmp_path):
+    path = tmp_path / "run.conf"
+    write_config(PipelineConfig({}), path)
+    text = dict(line.split(" = ", 1) for line in path.read_text().splitlines())
+    for key in SCHEMA:
+        assert PipelineConfig({key: coerce(key, text[key])})[key] == PipelineConfig({})[key], key
+    assert PipelineConfig({"selection.target_ratio": coerce("selection.target_ratio", "1")}).selection.target_ratio == 1.0
+    assert PipelineConfig({"selection.target_ratio": 1}).selection.target_ratio == 1.0
+    toggles = [flag for flag in cli._TOGGLES]
+    config = resolve_config(build_parser().parse_args(["select", *toggles]))
+    for _, implied in cli._TOGGLES.values():
+        for key, value in implied.items():
+            assert config[key] == value
 
 
 def test_toggle_flags_override_file_settings(tmp_path):

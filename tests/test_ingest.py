@@ -320,6 +320,56 @@ def test_corpus_line_bytes_match_the_list_built_line():
         assert report_to_json_bytes(report) == _reference_json_bytes(report), report.sample_id
 
 
+def test_corpus_line_is_the_plain_json_dumps_line():
+    # The module's one encoder must write what json.dumps writes.
+    rng = random.Random(223)
+    alphabet = ["a", "Z", "0", " ", ",", '"', "\\", "/", "\x00", "\x1f", "\x7f", "\n", "\t",
+                "é", "ü", "日", "\u2028", "\ud800", "\U0001f600"]
+
+    def text():
+        return "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 6)))
+
+    reports = [BehaviorReport("void", ClassLabel.BENIGN, ((), ())), BehaviorReport("", ClassLabel.BENIGN, ())]
+    for _ in range(60):
+        processes = tuple(
+            tuple(ApiCallRecord(text(), text(), tuple(text() for _ in range(rng.randrange(0, 4))), text())
+                  for _ in range(rng.randrange(0, 4)))
+            for _ in range(rng.randrange(0, 4))
+        )
+        reports.append(BehaviorReport(text(), rng.choice(ALL_LABELS), processes))
+    for report in reports:
+        document = {"sample_id": report.sample_id, "label": report.label.value, "processes": report.processes}
+        line = report_to_json_bytes(report)
+        assert line == json.dumps(document, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        assert report_from_json_line(line.decode()) == report
+
+
+_NOT_A_CALL = "is not [category, name, arguments, return]"
+_NON_STRING = "holds a non-string field"
+
+
+@pytest.mark.parametrize("call, problem", [
+    pytest.param({"api": "NtClose"}, _NOT_A_CALL, id="object"),
+    pytest.param("NtClose", _NOT_A_CALL, id="string"),
+    pytest.param(["system", "NtClose", []], _NOT_A_CALL, id="three-fields"),
+    pytest.param(["system", "NtClose", [], "0", "x"], _NOT_A_CALL, id="five-fields"),
+    pytest.param([1, "NtClose", [], "0"], _NON_STRING, id="category-number"),
+    pytest.param(["system", None, [], "0"], _NON_STRING, id="name-null"),
+    pytest.param(["system", "NtClose", [], 0], _NON_STRING, id="return-number"),
+    pytest.param(["system", "NtClose", "h", "0"], _NON_STRING, id="arguments-string"),
+    pytest.param(["system", "NtClose", {"a": "b"}, "0"], _NON_STRING, id="arguments-object"),
+    pytest.param(["system", "NtClose", None, "0"], _NON_STRING, id="arguments-null"),
+    pytest.param(["system", "NtClose", ["a", 7], "0"], _NON_STRING, id="argument-number"),
+    pytest.param(["system", "NtClose", [["a"]], "0"], _NON_STRING, id="argument-list"),
+    pytest.param(["system", "NtClose", [None], "0"], _NON_STRING, id="argument-null"),
+])
+def test_malformed_call_names_the_call(call, problem):
+    line = _corpus_line(processes=[[["system", "NtOpenFile", ["a"], "0"], call]])
+    with pytest.raises(MalformedJson) as excinfo:
+        report_from_json_line(line)
+    assert str(excinfo.value) == f"bad corpus.jsonl line: call {call!r} {problem}"
+
+
 def test_report_holds_its_processes_and_derives_its_calls():
     assert tuple(f.name for f in dataclasses.fields(BehaviorReport)) == ("sample_id", "label", "processes")
     a, b, c = (ApiCallRecord("system", name, (), "0") for name in ("NtOpenFile", "NtReadFile", "NtClose"))

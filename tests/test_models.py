@@ -755,6 +755,12 @@ def _per_head_svm_fit(matrix, y, params, seed):
         (21, 8, 4095, 2, 5, 1e-3),  # blocks of 8, the last one 5 rows
         (100, 3, 2000, 2, -2, 1e-4),  # blocks of 43, the last one 14 rows
         (9, 8, 40000, 1, 9, 1e-4),  # wider than the buffer: one row per step
+        # Separable (fewer rows than columns) over many epochs: hinge-free
+        # stretches of hundreds of steps run across speculative blocks of 32
+        # steps and across gathers of 58 rows; 150 rows is no multiple of 32.
+        (150, 3, 1500, 20, 17, 1e-4),
+        (45, 5, 90, 24, 19, 1e-3),  # one gather per epoch; stretches cross epochs
+        (30, 4, 20, 3, 21, 1.0),  # a head hits at nearly every step, epoch starts included
     ],
 )
 def test_lockstep_svm_matches_the_per_head_loop_bit_for_bit(n_rows, n_classes, dim, epochs, seed, lam):
@@ -771,6 +777,28 @@ def test_lockstep_svm_matches_the_per_head_loop_bit_for_bit(n_rows, n_classes, d
     assert learner.heads == heads
     assert np.array_equal(np.array(learner.weights).view(np.int64), np.array(weights).view(np.int64))
     assert np.array_equal(np.array(learner.bias).view(np.int64), np.array(bias).view(np.int64))
+
+
+def test_svm_fit_scratch_memory_is_bounded_by_the_gather_budget():
+    import tracemalloc
+
+    # Each speculative block holds one weight array per step; on a matrix
+    # this wide the budget allows one step, not a fixed block of them.
+    rng = np.random.default_rng(211)
+    dense = rng.normal(size=(9, 40000)) * (rng.random((9, 40000)) < 0.6)
+    y = np.arange(9) % 8
+    matrix = _matrix(dense, [ALL_LABELS[c] for c in y])
+    w_bytes = 8 * 40001 * 8
+    tracemalloc.start()
+    try:
+        svm.fit(matrix, y, {"reg_lambda": 1e-4, "epochs": 1}, seed=9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # About 12 W: the dense and bias-augmented copies of the input (2.2 W),
+    # the two-step weight block, the step and the gathered row (4 W) and the
+    # learner's weight lists of Python floats and their array (5 W).
+    assert peak < 12 * w_bytes + 2 * svm._GATHER_BYTES
 
 
 @pytest.mark.parametrize("seed", range(5))

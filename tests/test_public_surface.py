@@ -5,12 +5,15 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
 
 import apigram
 import apigram.models
+from apigram.cli import build_parser, resolve_config
+from apigram.models import ModelKind
 
 REMOVED = {
     "apigram": ("mutual_information", "partition_elements", "tokenize_report"),
@@ -61,3 +64,28 @@ def test_every_traced_attribute_resolves():
         for part in attribute.split("."):
             owner = getattr(owner, part, None)
         assert callable(owner), f"{module_name}.{attribute}"
+
+
+def _load_perfbench(name: str, monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    # A dataclass looks its module up in sys.modules while it is built.
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_benchmark_workload_builds_its_pipeline_config(tmp_path, monkeypatch):
+    # perfbench/run.py hands each workload's flags to the pipeline command;
+    # a renamed or retyped flag must fail here, not in a benchmark run.
+    monkeypatch.setattr(sys, "path", list(sys.path))  # run.py puts perfbench/ first
+    _load_perfbench("tracer", monkeypatch)  # run.py imports it by that name
+    run = _load_perfbench("run", monkeypatch)
+    assert run.WORKLOADS
+    for name, workload in run.WORKLOADS.items():
+        argv = run.pipeline_argv(workload, tmp_path / "manifest.csv", tmp_path / name, run.DEFAULT_SEED)
+        config = resolve_config(build_parser().parse_args(argv))
+        assert config["ngram.active"] == workload.active, name
+        model = workload.flags[workload.flags.index("--model") + 1]
+        assert config.model[0] is ModelKind.from_name(model), name
