@@ -1,7 +1,10 @@
 """Command-line front end: seven stages over one shared working directory.
 
-Each stage reads its inputs from earlier stages' artifacts and writes its
-own, so ``pipeline`` is exactly the chained single stages. Every config
+Each stage command reads its inputs from earlier stages' artifacts and
+writes its own. ``pipeline`` writes the same artifacts, byte for byte, but
+hands what each stage built to the next one in memory instead of reading it
+back: ingest streams its reports into featurize, and featurize's active
+feature set goes on to select, train and evaluate. Every config
 key can be set in a config file (``key = value`` lines), through a flag
 of the same name (dots and underscores become dashes, so
 ``selection.target_ratio`` is ``--selection-target-ratio``), or through
@@ -15,17 +18,20 @@ import csv
 import json
 import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
+from contextlib import closing
 from pathlib import Path
+from typing import NamedTuple
 
 from .config import SCHEMA, PipelineConfig, coerce, read_config_values
 from .errors import ConfigError, IoFailure, MalformedJson, MissingArtifact, PipelineError
 from .evaluate import evaluate, emit_report, stratified_split
 from .ingest import BehaviorReport, load_corpus, load_manifest, report_from_json_line, report_to_json_bytes
 from .models import load_model, save_model, train
-from .select import hybrid_select, read_mask, write_mask, write_selection_report
+from .select import SelectionMask, hybrid_select, read_mask, write_mask, write_selection_report
 from .synth import default_spec, generate_corpus, write_corpus
 from .tokens import (
+    Vocabulary,
     build_vocabulary,
     documents_for_n,
     merge_documents,
@@ -195,16 +201,46 @@ def _feature_file(cfg: PipelineConfig, prefix: str) -> Path:
     return _require(cfg.workdir / f"{prefix}_{cfg['ngram.active']}.csv", "featurize")
 
 
-def _masked_tfidf(cfg: PipelineConfig) -> FeatureMatrix:
-    tfidf = read_matrix(_feature_file(cfg, "tfidf"), _feature_file(cfg, "labels"))
-    if not cfg["selection.enabled"]:
-        return tfidf
-    mask = read_mask(_require(cfg.workdir / "selection_mask.csv", "select"))
-    return tfidf.apply_mask(mask.kept)
+class _Features(NamedTuple):
+    """The active feature set over all rows, and the train/test split."""
+
+    tfidf: FeatureMatrix
+    freq: FeatureMatrix
+    vocabulary: Vocabulary
+    train_rows: list[int]
+    test_rows: list[int]
+
+
+class _Dataset(NamedTuple):
+    """The all-rows TF-IDF matrix, masked when selection is enabled, and the split."""
+
+    matrix: FeatureMatrix
+    train_rows: list[int]
+    test_rows: list[int]
+
+
+def _read_features(cfg: PipelineConfig) -> _Features:
+    labels_path = _feature_file(cfg, "labels")
+    return _Features(
+        read_matrix(_feature_file(cfg, "tfidf"), labels_path),
+        read_matrix(_feature_file(cfg, "freq"), labels_path),
+        read_vocabulary(_feature_file(cfg, "vocab")),
+        *_read_split(cfg),
+    )
+
+
+def _read_dataset(cfg: PipelineConfig) -> _Dataset:
+    matrix = read_matrix(_feature_file(cfg, "tfidf"), _feature_file(cfg, "labels"))
+    if cfg["selection.enabled"]:
+        matrix = matrix.apply_mask(read_mask(_require(cfg.workdir / "selection_mask.csv", "select")).kept)
+    return _Dataset(matrix, *_read_split(cfg))
 
 
 # ---------------------------------------------------------------------------
 # Stage commands
+#
+# A stage given its inputs as arguments uses them; by default it reads them
+# from the workdir. Either way it writes the same artifacts.
 # ---------------------------------------------------------------------------
 
 def cmd_synth(cfg: PipelineConfig) -> None:
@@ -214,9 +250,11 @@ def cmd_synth(cfg: PipelineConfig) -> None:
     print(f"synth: {len(corpus)} reports across {len(spec.samples_per_class)} classes -> {manifest}")
 
 
-def cmd_ingest(cfg: PipelineConfig) -> None:
-    """Write ``corpus.jsonl`` one report at a time, through a temporary file
-    that replaces it only once every report has been parsed."""
+def _ingest(cfg: PipelineConfig) -> Iterator[BehaviorReport]:
+    """Write ``corpus.jsonl`` one report at a time and yield each report once
+    its line is written. The lines go to a temporary file that replaces
+    ``corpus.jsonl`` only once every report has been parsed; a failure, or
+    closing the generator early, removes it."""
     manifest = _require(cfg.manifest_path, "synth (or point io.manifest at a corpus)")
     n_entries = len(load_manifest(manifest))
     out_path = cfg.workdir / "corpus.jsonl"
@@ -227,6 +265,7 @@ def cmd_ingest(cfg: PipelineConfig) -> None:
             for report in load_corpus(manifest):
                 fh.write(report_to_json_bytes(report) + b"\n")
                 n_reports += 1
+                yield report
         os.replace(tmp_path, out_path)
     except BaseException:
         tmp_path.unlink(missing_ok=True)
@@ -237,13 +276,24 @@ def cmd_ingest(cfg: PipelineConfig) -> None:
     )
 
 
-def cmd_featurize(cfg: PipelineConfig) -> None:
+def cmd_ingest(cfg: PipelineConfig) -> None:
+    for _ in _ingest(cfg):
+        pass
+
+
+def cmd_featurize(cfg: PipelineConfig, reports: Iterable[BehaviorReport] | None = None) -> _Features:
+    """Write every feature set's artifacts and return the active set's.
+
+    Nothing is written until the last report has been read.
+    """
+    if reports is None:
+        reports = _read_reports(cfg)
     sizes = tuple(cfg["ngram.sizes"])
     max_args = int(cfg["ngram.max_args"])
     reset = bool(cfg["ngram.reset_at_process"])
     labels, sample_ids = [], []
     document_sets = {str(n): [] for n in sizes}
-    for report in _read_reports(cfg):
+    for report in reports:
         labels.append(report.label)
         sample_ids.append(report.sample_id)
         for n in sizes:
@@ -267,18 +317,19 @@ def cmd_featurize(cfg: PipelineConfig) -> None:
         write_matrix(workdir / f"freq_{suffix}.csv", freq)
         write_labels(workdir / f"labels_{suffix}.csv", tfidf)
         summary.append(f"{suffix}:{len(vocabulary)}")
+        if suffix == cfg["ngram.active"]:
+            active = _Features(tfidf, freq, vocabulary, train_rows, test_rows)
+        # Only the active set's matrices outlive their turn.
+        del vocabulary, freq, tfidf
     print(
         f"featurize: {len(labels)} docs, train {len(train_rows)} test {len(test_rows)}, "
         f"vocabulary sizes {{{', '.join(summary)}}}"
     )
+    return active
 
 
-def cmd_select(cfg: PipelineConfig) -> None:
-    labels_path = _feature_file(cfg, "labels")
-    tfidf = read_matrix(_feature_file(cfg, "tfidf"), labels_path)
-    freq = read_matrix(_feature_file(cfg, "freq"), labels_path)
-    vocabulary = read_vocabulary(_feature_file(cfg, "vocab"))
-    train_rows, _ = _read_split(cfg)
+def cmd_select(cfg: PipelineConfig, features: _Features | None = None) -> SelectionMask:
+    tfidf, freq, vocabulary, train_rows, _ = _read_features(cfg) if features is None else features
     if not cfg["selection.on_all"]:
         tfidf = tfidf.select_rows(train_rows)
         freq = freq.select_rows(train_rows)
@@ -287,11 +338,11 @@ def cmd_select(cfg: PipelineConfig) -> None:
     write_selection_report(cfg.workdir / "selection_report.csv", mask)
     chain = " -> ".join(f"{stage}:{n_out}" for stage, _, n_out in mask.provenance)
     print(f"select: kept {len(mask)} of {len(vocabulary)} features ({chain})")
+    return mask
 
 
-def cmd_train(cfg: PipelineConfig) -> None:
-    matrix = _masked_tfidf(cfg)
-    train_rows, _ = _read_split(cfg)
+def cmd_train(cfg: PipelineConfig, dataset: _Dataset | None = None) -> None:
+    matrix, train_rows, _ = _read_dataset(cfg) if dataset is None else dataset
     training = matrix.select_rows(train_rows)
     kind, params = cfg.model
     model = train(kind, training, params=params)
@@ -303,10 +354,10 @@ def cmd_train(cfg: PipelineConfig) -> None:
     )
 
 
-def cmd_evaluate(cfg: PipelineConfig) -> None:
+def cmd_evaluate(cfg: PipelineConfig, dataset: _Dataset | None = None) -> None:
+    # The model is always read back, so every run checks the file it wrote.
     model = load_model(_require(cfg.workdir / "model.json", "train"))
-    matrix = _masked_tfidf(cfg)
-    _, test_rows = _read_split(cfg)
+    matrix, _, test_rows = _read_dataset(cfg) if dataset is None else dataset
     test = matrix.select_rows(test_rows)
     report = evaluate(model, test, average=str(cfg["eval.average"]))
     workdir = cfg.workdir
@@ -325,14 +376,19 @@ def cmd_evaluate(cfg: PipelineConfig) -> None:
 
 
 def cmd_pipeline(cfg: PipelineConfig) -> None:
+    """The chained stages, each handed what the stage before it built."""
     if not str(cfg["io.manifest"]):
         cmd_synth(cfg)
-    cmd_ingest(cfg)
-    cmd_featurize(cfg)
+    with closing(_ingest(cfg)) as reports:
+        features = cmd_featurize(cfg, reports)
+    matrix = features.tfidf
     if cfg["selection.enabled"]:
-        cmd_select(cfg)
-    cmd_train(cfg)
-    cmd_evaluate(cfg)
+        # The mask applies to all rows, as train and evaluate read it.
+        matrix = matrix.apply_mask(cmd_select(cfg, features).kept)
+    dataset = _Dataset(matrix, features.train_rows, features.test_rows)
+    del features, matrix  # freq, and the unmasked TF-IDF once masked, are freed here
+    cmd_train(cfg, dataset)
+    cmd_evaluate(cfg, dataset)
 
 
 _COMMANDS = {

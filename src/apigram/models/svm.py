@@ -38,12 +38,18 @@ _BLOCK_STEPS = 32
 class LinearSvmLearner(Learner):
     probabilistic = False
 
-    def __init__(self, heads: list[int], weights: list[list[float]], bias: list[float]):
+    def __init__(self, heads: list[int], weights: np.ndarray | list, bias: np.ndarray | list):
         self.heads = heads
-        self.weights = weights
-        self.bias = bias
         self._W = np.array(weights, dtype=np.float64)
         self._b = np.array(bias, dtype=np.float64)
+
+    @property
+    def weights(self) -> list[list[float]]:
+        return self._W.tolist()
+
+    @property
+    def bias(self) -> list[float]:
+        return self._b.tolist()
 
     def scores(self, X: np.ndarray) -> np.ndarray:
         margins = np.full((X.shape[0], N_CLASSES), -np.inf)
@@ -121,4 +127,4 @@ def fit(matrix: FeatureMatrix, y: np.ndarray, params: dict, seed: int) -> Linear
                     np.multiply(lr * row_signs[p - 1], rows[p - 1], out=step)
                     np.add(W, step, out=W, where=hits[taken - 1])
             t += len(rows)
-    return LinearSvmLearner(heads=heads, weights=W[:, :v].tolist(), bias=W[:, v].tolist())
+    return LinearSvmLearner(heads=heads, weights=W[:, :v], bias=W[:, v])

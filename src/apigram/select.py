@@ -226,14 +226,16 @@ def mutual_information_all(matrix: FeatureMatrix) -> np.ndarray:
 
 def rank_by_mi(matrix: FeatureMatrix, candidates: SelectionMask, keep: int) -> SelectionMask:
     """Keep the ``keep`` highest-MI candidates (ties: lower column index)."""
-    mi = mutual_information_all(matrix)
+    # A column's MI depends on that column alone, so only the candidates' is
+    # computed: the per-column arrays then scale with them, not the vocabulary.
+    mi = dict(zip(candidates.kept, mutual_information_all(matrix.apply_mask(candidates.kept)).tolist()))
     order = sorted(candidates.kept, key=lambda j: (-mi[j], j))
     chosen = sorted(order[:max(keep, 1)])
     if not chosen:
         raise AllFeaturesRemoved("mutual-information ranking removed every feature")
     return SelectionMask(
         kept=tuple(chosen),
-        scores={j: float(mi[j]) for j in chosen},
+        scores={j: mi[j] for j in chosen},
         provenance=candidates.provenance + (("mi", len(candidates), len(chosen)),),
     )
 

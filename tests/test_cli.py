@@ -97,6 +97,75 @@ def test_pipeline_matches_the_individually_chained_stages(tmp_path):
         assert (joint / name).read_bytes() == (staged / name).read_bytes(), name
 
 
+_STAGE_COMMANDS = ("synth", "ingest", "featurize", "select", "train", "evaluate")
+_MODEL_KINDS = ("decision_tree", "random_forest", "gbt", "svm", "naive_bayes", "knn")
+# Tiny union n-grams at seed 3: every selection stage cuts,
+# 7978 -> 1878 -> 877 -> 873 -> 281.
+_UNION = ("--ngram-sizes", "1,2,3", "--ngram-combine", "true", "--ngram-active", "union")
+
+
+def _files(workdir):
+    return {p.relative_to(workdir).as_posix(): p.read_bytes() for p in workdir.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--model", kind) for kind in _MODEL_KINDS]
+    + [
+        ("--model", "random_forest", *_UNION),
+        ("--model", "naive_bayes", "--no-selection"),
+        ("--model", "decision_tree", "--select-on-all"),
+    ],
+    ids=[*_MODEL_KINDS, "union", "no-selection", "select-on-all"],
+)
+def test_pipeline_writes_every_file_the_chained_stage_commands_write(tmp_path, flags):
+    common = ("--scale", "tiny", "--seed", "3", *flags)
+    joint, staged = tmp_path / "joint", tmp_path / "staged"
+    assert _run("pipeline", "--workdir", str(joint), *common) == 0
+    for command in _STAGE_COMMANDS:
+        if command == "select" and "--no-selection" in flags:
+            continue  # the pipeline skips it as well
+        assert _run(command, "--workdir", str(staged), *common) == 0, command
+    joint_files, staged_files = _files(joint), _files(staged)
+    assert sorted(joint_files) == sorted(staged_files)
+    for name, content in joint_files.items():
+        assert content == staged_files[name], name
+
+
+_READERS = ("report_from_json_line", "read_matrix", "read_vocabulary", "read_mask", "_read_split")
+
+
+def test_pipeline_reads_back_nothing_it_wrote(tmp_path, monkeypatch):
+    originals = {name: getattr(cli, name) for name in _READERS}
+
+    def forbidden(name):
+        def reader(*args, **kwargs):
+            raise AssertionError(f"pipeline called {name}")
+        return reader
+
+    for name in _READERS:
+        monkeypatch.setattr(cli, name, forbidden(name))
+    workdir = tmp_path / "run"
+    assert _run(*_tiny_args(workdir)) == 0
+
+    called = []
+
+    def recorded(name):
+        def reader(*args, **kwargs):
+            called.append(name)
+            return originals[name](*args, **kwargs)
+        return reader
+
+    for name in _READERS:
+        monkeypatch.setattr(cli, name, recorded(name))
+    common = ("--workdir", str(workdir), "--model", "decision_tree", "--seed", "1")
+    for command in ("featurize", "select", "train", "evaluate"):
+        before = len(called)
+        assert _run(command, *common) == 0, command
+        assert len(called) > before, command
+    assert set(called) == set(_READERS)
+
+
 def test_identity_selection_matches_disabled_selection(tmp_path):
     disabled = tmp_path / "disabled"
     identity = tmp_path / "identity"
@@ -354,6 +423,21 @@ def test_failed_ingest_leaves_the_previous_corpus_whole(tmp_path, capsys):
     assert _error_line(capsys)["error"] == "IoFailure"
     assert corpus.read_bytes() == before
     assert sorted(p.name for p in workdir.iterdir()) == listing
+
+
+def test_failed_pipeline_ingest_leaves_the_previous_corpus_whole(tmp_path, capsys):
+    workdir = tmp_path / "run"
+    corpus = _ingested(workdir)
+    before = corpus.read_bytes()
+    manifest = workdir / "manifest.csv"
+    load_manifest(manifest)[-1][2].unlink()
+    capsys.readouterr()
+    assert _run("pipeline", "--manifest", str(manifest), "--workdir", str(workdir), "--seed", "1") == 2
+    assert _error_line(capsys)["error"] == "IoFailure"
+    assert corpus.read_bytes() == before
+    assert not (workdir / "corpus.jsonl.tmp").exists()
+    featurized = ("split.csv", "ngrams_*", "vocab_*", "tfidf_*", "freq_*", "labels_*")
+    assert [p.name for pattern in featurized for p in workdir.glob(pattern)] == []
 
 
 def test_ingest_summary_counts_the_dropped_empty_traces(tmp_path, capsys):

@@ -795,9 +795,9 @@ def test_svm_fit_scratch_memory_is_bounded_by_the_gather_budget():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # About 12 W: the dense and bias-augmented copies of the input (2.2 W),
+    # About 8 W: the dense and bias-augmented copies of the input (2.2 W),
     # the two-step weight block, the step and the gathered row (4 W) and the
-    # learner's weight lists of Python floats and their array (5 W).
+    # learner's weight array (1 W).
     assert peak < 12 * w_bytes + 2 * svm._GATHER_BYTES
 
 

@@ -277,6 +277,23 @@ def test_rank_by_mi_breaks_ties_by_lower_column_index():
     assert mask.scores[0] == pytest.approx(math.log(2.0), abs=1e-12)
 
 
+def test_rank_by_mi_scores_the_candidates_as_the_whole_vocabulary_would():
+    # rank_by_mi computes MI on the candidate columns alone; each score must
+    # have the bits of that column's MI over the full matrix.
+    rng = np.random.default_rng(53)
+    for _ in range(30):
+        n = int(rng.integers(2, 80))
+        v = int(rng.integers(1, 300))
+        dense = (rng.random((n, v)) < rng.uniform(0.05, 0.5)) * rng.integers(1, 4, size=(n, v))
+        labels = [ALL_LABELS[int(c)] for c in rng.integers(0, int(rng.integers(1, 9)), size=n)]
+        matrix = _matrix(dense, labels)
+        kept = tuple(sorted(rng.choice(v, size=int(rng.integers(1, v + 1)), replace=False).tolist()))
+        mask = rank_by_mi(matrix, SelectionMask(kept=kept), keep=len(kept))
+        full = mutual_information_all(matrix)
+        assert mask.kept == kept
+        assert [mask.scores[j] for j in kept] == full[list(kept)].tolist()
+
+
 # ---------------------------------------------------------------------------
 # Correlation pruning
 # ---------------------------------------------------------------------------

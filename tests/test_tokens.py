@@ -129,12 +129,32 @@ def test_report_ngrams_cross_process_by_default_and_reset_on_request():
     assert stopped == ["A_na,B_na", "C_na,D_na"]
 
 
+def test_report_ngrams_match_tokenizing_every_call():
+    rng = np.random.default_rng(61)
+    pool = [_call(name, *args) for name in ("A", "B b", "C,c") for args in ((), ("x",), ("x", "y z"))]
+    for _ in range(30):
+        calls = [pool[i] for i in rng.integers(0, len(pool), size=int(rng.integers(0, 25)))]
+        a, b = sorted(rng.integers(0, len(calls) + 1, size=2).tolist())
+        report = BehaviorReport("r", ClassLabel.WORM, (tuple(calls[:a]), tuple(calls[a:b]), tuple(calls[b:])))
+        for n, reset, max_args in itertools.product((1, 2, 3), (False, True), (0, 1, 2)):
+            segments = report.processes if reset else (report.calls,)
+            expected = [g for calls in segments for g in extract_ngrams([canonical_token(c, max_args) for c in calls], n)]
+            assert report_ngrams(report, n, max_args, reset) == expected
+
+
 def test_token_document_total_counts_all_windows():
     report = _report([("A", ()), ("B", ()), ("C", ())])
     for n in (1, 2, 3):
         doc = TokenDocument.from_report(report, n)
         assert doc.total == max(0, len(report.calls) - n + 1)
         assert sum(doc.counts.values()) == doc.total
+
+
+def test_documents_share_one_string_per_term():
+    reports = [_report([("A", ("x",)), ("B", ())], sample_id=s) for s in ("r1", "r2")]
+    first, second = documents_for_n(reports, 1)
+    assert first.counts == second.counts == {"A_x": 1, "B_na": 1}
+    assert all(a is b for a, b in zip(first.counts, second.counts))
 
 
 def test_merge_documents_unions_counts_per_sample():
