@@ -219,6 +219,16 @@ class _Dataset(NamedTuple):
     test_rows: list[int]
 
 
+def _dataset(
+    tfidf: FeatureMatrix, kept: tuple[int, ...] | None, train_rows: list[int], test_rows: list[int]
+) -> _Dataset:
+    """Cut the all-rows TF-IDF to the ``kept`` columns, if a mask was made.
+
+    The mask applies to every row, not only to the rows select scored.
+    """
+    return _Dataset(tfidf if kept is None else tfidf.apply_mask(kept), train_rows, test_rows)
+
+
 def _read_features(cfg: PipelineConfig) -> _Features:
     labels_path = _feature_file(cfg, "labels")
     return _Features(
@@ -230,10 +240,11 @@ def _read_features(cfg: PipelineConfig) -> _Features:
 
 
 def _read_dataset(cfg: PipelineConfig) -> _Dataset:
-    matrix = read_matrix(_feature_file(cfg, "tfidf"), _feature_file(cfg, "labels"))
+    tfidf = read_matrix(_feature_file(cfg, "tfidf"), _feature_file(cfg, "labels"))
+    kept = None
     if cfg["selection.enabled"]:
-        matrix = matrix.apply_mask(read_mask(_require(cfg.workdir / "selection_mask.csv", "select")).kept)
-    return _Dataset(matrix, *_read_split(cfg))
+        kept = read_mask(_require(cfg.workdir / "selection_mask.csv", "select")).kept
+    return _dataset(tfidf, kept, *_read_split(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -381,12 +392,9 @@ def cmd_pipeline(cfg: PipelineConfig) -> None:
         cmd_synth(cfg)
     with closing(_ingest(cfg)) as reports:
         features = cmd_featurize(cfg, reports)
-    matrix = features.tfidf
-    if cfg["selection.enabled"]:
-        # The mask applies to all rows, as train and evaluate read it.
-        matrix = matrix.apply_mask(cmd_select(cfg, features).kept)
-    dataset = _Dataset(matrix, features.train_rows, features.test_rows)
-    del features, matrix  # freq, and the unmasked TF-IDF once masked, are freed here
+    kept = cmd_select(cfg, features).kept if cfg["selection.enabled"] else None
+    dataset = _dataset(features.tfidf, kept, features.train_rows, features.test_rows)
+    del features  # freq, and the unmasked TF-IDF once masked, are freed here
     cmd_train(cfg, dataset)
     cmd_evaluate(cfg, dataset)
 

@@ -82,18 +82,9 @@ def report_ngrams(
     boundary, so no n-gram spans two processes.
     """
     _check_n(n)
-    # Most calls in a report repeat an earlier one (56 % of the calls in the
-    # bulk-svm benchmark corpus), so each distinct call is tokenized once.
-    token_of: dict[ApiCallRecord, str] = {}
     out: list[str] = []
     for calls in report.processes if reset_at_process else (report.calls,):
-        tokens = []
-        for call in calls:
-            token = token_of.get(call)
-            if token is None:
-                token = token_of[call] = canonical_token(call, max_args)
-            tokens.append(token)
-        out.extend(extract_ngrams(tokens, n))
+        out.extend(extract_ngrams([canonical_token(call, max_args) for call in calls], n))
     return out
 
 

@@ -129,19 +129,6 @@ def test_report_ngrams_cross_process_by_default_and_reset_on_request():
     assert stopped == ["A_na,B_na", "C_na,D_na"]
 
 
-def test_report_ngrams_match_tokenizing_every_call():
-    rng = np.random.default_rng(61)
-    pool = [_call(name, *args) for name in ("A", "B b", "C,c") for args in ((), ("x",), ("x", "y z"))]
-    for _ in range(30):
-        calls = [pool[i] for i in rng.integers(0, len(pool), size=int(rng.integers(0, 25)))]
-        a, b = sorted(rng.integers(0, len(calls) + 1, size=2).tolist())
-        report = BehaviorReport("r", ClassLabel.WORM, (tuple(calls[:a]), tuple(calls[a:b]), tuple(calls[b:])))
-        for n, reset, max_args in itertools.product((1, 2, 3), (False, True), (0, 1, 2)):
-            segments = report.processes if reset else (report.calls,)
-            expected = [g for calls in segments for g in extract_ngrams([canonical_token(c, max_args) for c in calls], n)]
-            assert report_ngrams(report, n, max_args, reset) == expected
-
-
 def test_token_document_total_counts_all_windows():
     report = _report([("A", ()), ("B", ()), ("C", ())])
     for n in (1, 2, 3):
