@@ -33,6 +33,7 @@ from .synth import default_spec, generate_corpus, write_corpus
 from .tokens import (
     Vocabulary,
     build_vocabulary,
+    csv_field,
     documents_for_n,
     merge_documents,
     read_vocabulary,
@@ -170,10 +171,10 @@ def _write_split(cfg: PipelineConfig, sample_ids, train_rows, test_rows) -> Path
     membership = {row: "train" for row in train_rows}
     membership.update({row: "test" for row in test_rows})
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["row", "sample_id", "part"])
-        for row in sorted(membership):
-            writer.writerow([row, sample_ids[row], membership[row]])
+        fh.write("row,sample_id,part\n")
+        fh.writelines(
+            f"{row},{csv_field(sample_ids[row])},{csv_field(membership[row])}\n" for row in sorted(membership)
+        )
     return path
 
 

@@ -109,18 +109,6 @@ def identity_mask(n_cols: int, stage: str = "identity") -> SelectionMask:
 # Stage 1: lexical rules over argument segments
 # ---------------------------------------------------------------------------
 
-def _argument_segments(term: str) -> list[str]:
-    """Argument segments of every token in an n-gram.
-
-    Tokens are split on the structural joiner; the leading API-name
-    segment of each token is exempt from lexical rules.
-    """
-    segments: list[str] = []
-    for token in term.split(NGRAM_JOINER):
-        segments.extend(token.split(TOKEN_JOINER)[1:])
-    return segments
-
-
 def _violates(segment: str, rules: frozenset[str]) -> bool:
     if RULE_HEX_ADDRESS in rules and _HEX_ADDR.match(segment):
         return True
@@ -141,11 +129,29 @@ def lexical_filter(vocabulary: Vocabulary, rules: frozenset[str] | set[str]) -> 
         raise DimensionMismatch(f"unknown lexical rules: {sorted(unknown)}")
     if not rules:
         return identity_mask(len(vocabulary), "lexical")
-    kept = [
-        j
-        for j, term in enumerate(vocabulary.terms)
-        if not any(_violates(seg, rules) for seg in _argument_segments(term))
-    ]
+
+    def token_violates(token: str) -> bool:
+        # The leading API-name segment of a token is exempt.
+        return any(_violates(segment, rules) for segment in token.split(TOKEN_JOINER)[1:])
+
+    # n-grams share most of their tokens, so each distinct token of a
+    # multi-token term is judged once per call.
+    verdicts: dict[str, bool] = {}
+
+    def cached_violates(token: str) -> bool:
+        verdict = verdicts.get(token)
+        if verdict is None:
+            verdict = verdicts[token] = token_violates(token)
+        return verdict
+
+    kept = []
+    for j, term in enumerate(vocabulary.terms):
+        if NGRAM_JOINER in term:
+            violates = any(map(cached_violates, term.split(NGRAM_JOINER)))
+        else:
+            violates = token_violates(term)
+        if not violates:
+            kept.append(j)
     if not kept:
         raise AllFeaturesRemoved("lexical rules removed every feature")
     return SelectionMask(

@@ -192,23 +192,39 @@ def build_vocabulary(documents: list[TokenDocument]) -> Vocabulary:
 # CSV persistence
 # ---------------------------------------------------------------------------
 
+def csv_field(text: str) -> str:
+    """One text field of a CSV row, quoted the way ``csv.writer`` quotes it.
+
+    A field is quoted only when it holds a comma, a double quote or a line
+    feed, and inner quotes are doubled. A carriage return is quoted too,
+    which ``csv.writer`` with a line-feed terminator does not do, so that
+    ``csv.reader`` reads such a field back whole.
+    """
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_ngram_counts(path: str | Path, documents: list[TokenDocument]) -> None:
     """Write per-sample n-gram counts (terms sorted within each sample)."""
+    # Each sample's rows are written as one string; only the text fields
+    # need csv quoting, which csv_field gives them.
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sample_id", "label", "ngram", "count"])
+        fh.write("sample_id,label,ngram,count\n")
         for doc in documents:
-            for term in sorted(doc.counts):
-                writer.writerow([doc.sample_id, doc.label.value, term, doc.counts[term]])
+            prefix = f"{csv_field(doc.sample_id)},{csv_field(doc.label.value)},"
+            counts = doc.counts
+            fh.write("".join([f"{prefix}{csv_field(term)},{counts[term]}\n" for term in sorted(counts)]))
 
 
 def write_vocabulary(path: str | Path, vocabulary: Vocabulary) -> None:
+    # One string per row, streamed; only the term needs csv quoting.
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["index", "ngram", "df"])
-        for i, term in enumerate(vocabulary.terms):
-            writer.writerow([i, term, vocabulary.df[i]])
-        writer.writerow(["#n_docs", "", vocabulary.n_docs])
+        fh.write("index,ngram,df\n")
+        fh.writelines(
+            f"{i},{csv_field(term)},{df}\n" for i, (term, df) in enumerate(zip(vocabulary.terms, vocabulary.df))
+        )
+        fh.write(f"#n_docs,,{vocabulary.n_docs}\n")
 
 
 def read_vocabulary(path: str | Path) -> Vocabulary:

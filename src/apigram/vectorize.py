@@ -12,14 +12,14 @@ import csv
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
-from itertools import chain, count, dropwhile
+from itertools import chain, dropwhile
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyCorpus, EmptyDocument, IoFailure, ZeroDf
 from .labels import ClassLabel
-from .tokens import TokenDocument, Vocabulary
+from .tokens import TokenDocument, Vocabulary, csv_field
 
 # One stored entry of a matrix, before it is ordered into CSR form.
 _ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("weight", np.float64)])
@@ -227,11 +227,13 @@ def write_matrix(path: str | Path, matrix: FeatureMatrix) -> None:
 
 
 def write_labels(path: str | Path, matrix: FeatureMatrix) -> None:
+    # Sample ids are free text that may need quoting, so csv_field writes them.
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["row", "sample_id", "label"])
-        # Sample ids are free text that may need quoting, so csv writes them.
-        writer.writerows(zip(count(), matrix.sample_ids, (label.value for label in matrix.labels)))
+        fh.write("row,sample_id,label\n")
+        fh.writelines(
+            f"{i},{csv_field(sample_id)},{csv_field(label.value)}\n"
+            for i, (sample_id, label) in enumerate(zip(matrix.sample_ids, matrix.labels))
+        )
 
 
 def _is_blank(line: str) -> bool:

@@ -1,6 +1,7 @@
 """Command-line surface: stages, artifacts, config precedence, errors."""
 from __future__ import annotations
 
+import csv
 import json
 import weakref
 
@@ -130,6 +131,33 @@ def test_pipeline_writes_every_file_the_chained_stage_commands_write(tmp_path, f
     assert sorted(joint_files) == sorted(staged_files)
     for name, content in joint_files.items():
         assert content == staged_files[name], name
+
+
+def test_stages_read_back_sample_ids_that_need_quoting(tmp_path):
+    # A carriage return, a comma and a double quote in sample ids: every
+    # artifact that names a sample must quote them so the stages read back
+    # what featurize wrote.
+    corpus = tmp_path / "corpus"
+    assert _run("synth", "--scale", "tiny", "--seed", "3", "--workdir", str(corpus)) == 0
+    manifest = corpus / "manifest.csv"
+    entries = load_manifest(manifest)
+    odd = ("adware\r0000", 'say "hi", then\r\nleave')
+    with open(manifest, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        writer.writerow(["sample_id", "label", "path"])
+        for i, (sample_id, label, path) in enumerate(entries):
+            writer.writerow([odd[i] if i < len(odd) else sample_id, label.value, str(path)])
+    common = ("--manifest", str(manifest), "--seed", "3", "--model", "decision_tree")
+    joint, staged = tmp_path / "joint", tmp_path / "staged"
+    assert _run("pipeline", "--workdir", str(joint), *common) == 0
+    for command in ("ingest", "featurize", "select", "train", "evaluate"):
+        assert _run(command, "--workdir", str(staged), *common) == 0, command
+    joint_files, staged_files = _files(joint), _files(staged)
+    assert sorted(joint_files) == sorted(staged_files)
+    for name, content in joint_files.items():
+        assert content == staged_files[name], name
+    with open(joint / "labels_1.csv", newline="", encoding="utf-8") as fh:
+        assert [row["sample_id"] for row in csv.DictReader(fh)][:2] == list(odd)
 
 
 _READERS = ("report_from_json_line", "read_matrix", "read_vocabulary", "read_mask", "_read_split")

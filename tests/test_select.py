@@ -1,7 +1,10 @@
 """Feature-selection cascade: lexical, frequency, MI, correlation, truncation."""
 from __future__ import annotations
 
+import itertools
 import math
+import random
+import re
 
 import numpy as np
 import pytest
@@ -137,6 +140,52 @@ def test_lexical_single_rule_scopes():
     }
     for rule, expected in by_rule.items():
         assert lexical_filter(vocabulary, {rule}).kept == expected
+
+
+def _reference_lexical_kept(terms, rules):
+    """The per-segment loop: every argument segment of every token, judged
+    afresh for each term."""
+    def violates(segment):
+        return (
+            (RULE_HEX_ADDRESS in rules and re.match(r"^0x[0-9a-fA-F]+$", segment))
+            or (RULE_PURE_NUMERIC in rules and re.match(r"^[0-9]+$", segment))
+            or (RULE_CONTAINS_DIGIT in rules and re.search(r"\d", segment))
+            or (RULE_CONTAINS_SPECIAL in rules and re.search(r"[^A-Za-z._-]", segment))
+        )
+
+    kept = []
+    for j, term in enumerate(terms):
+        segments = [seg for token in term.split(",") for seg in token.split("_")[1:]]
+        if not any(violates(seg) for seg in segments):
+            kept.append(j)
+    return tuple(kept)
+
+
+# Shared tokens, hex- and numeric-looking API names (exempt: only argument
+# segments are judged), ``name_na`` tokens, and one argument of each rule.
+_LEXICAL_TOKENS = (
+    "A_x", "B_na", "C_na", "0x1f_ok", "123_ok", "D_0x404000", "E_1000",
+    "F_v2", "G_x;y", "H_lib.dll_my-file", "I_ok_7", "J_", "K",
+)
+
+
+def _lexical_terms(seed):
+    rng = random.Random(seed)
+    terms = set(_LEXICAL_TOKENS)
+    terms.update({"A_x,A_x", "A_x,A_x,A_x", "B_na,B_na,B_na"})
+    for n in (2, 3):
+        terms.update(",".join(rng.choices(_LEXICAL_TOKENS, k=n)) for _ in range(60))
+    return sorted(terms)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lexical_filter_matches_the_per_segment_reference_for_every_rule_subset(seed):
+    terms = _lexical_terms(seed)
+    vocabulary = _vocab(terms)
+    for size in range(len(ALL_LEXICAL_RULES) + 1):
+        for rules in itertools.combinations(sorted(ALL_LEXICAL_RULES), size):
+            expected = _reference_lexical_kept(terms, frozenset(rules))
+            assert lexical_filter(vocabulary, rules).kept == expected, rules
 
 
 def test_lexical_dot_dash_underscore_are_not_special():

@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import csv
+import io
 import itertools
+import random
 import re
 from collections import Counter
 
@@ -16,6 +18,7 @@ from apigram.tokens import (
     TokenDocument,
     build_vocabulary,
     canonical_token,
+    csv_field,
     documents_for_n,
     extract_ngrams,
     merge_documents,
@@ -241,6 +244,85 @@ def test_vocabulary_csv_round_trip(tmp_path):
     assert again.terms == vocabulary.terms
     assert again.df == vocabulary.df
     assert again.n_docs == vocabulary.n_docs
+
+
+# ---------------------------------------------------------------------------
+# Field quoting and the writers, against csv.writer
+# ---------------------------------------------------------------------------
+
+def _csv_line(fields) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(fields)
+    return out.getvalue()
+
+
+_FIELD_ALPHABET = [",", '"', "\n", " ", "\t", "\x00", "é", ";", "_", "a", "Z", "q", "0", "7"]
+
+
+def _random_fields(rng, alphabet, count):
+    return [""] + ["".join(rng.choices(alphabet, k=rng.randrange(1, 7))) for _ in range(count)]
+
+
+def test_csv_field_quotes_as_csv_writer_does():
+    rng = random.Random(24)
+    for field in _random_fields(rng, _FIELD_ALPHABET, 5000):
+        assert f"{csv_field(field)},x\n" == _csv_line([field, "x"]), repr(field)
+
+
+def test_csv_field_quotes_a_carriage_return_and_reads_it_back():
+    rng = random.Random(25)
+    for field in _random_fields(rng, [*_FIELD_ALPHABET, "\r"], 2000):
+        if "\r" not in field:
+            continue
+        quoted = csv_field(field)
+        assert quoted.startswith('"') and quoted.endswith('"'), repr(field)
+        assert list(csv.reader(io.StringIO(f"{quoted},x\n", newline=""))) == [[field, "x"]]
+
+
+def _reference_ngram_counts(path, documents):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["sample_id", "label", "ngram", "count"])
+        for doc in documents:
+            for term in sorted(doc.counts):
+                writer.writerow([doc.sample_id, doc.label.value, term, doc.counts[term]])
+
+
+def _reference_vocabulary(path, vocabulary):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["index", "ngram", "df"])
+        for i, term in enumerate(vocabulary.terms):
+            writer.writerow([i, term, vocabulary.df[i]])
+        writer.writerow(["#n_docs", "", vocabulary.n_docs])
+
+
+# Ids and terms that need quoting, non-ASCII text and empty strings.
+_AWKWARD = ["", "plain", "a,b", 'say "hi"', "two\nlines", "dé,jà", '"', ",", "A_x,B_y,C_z", "名前_値"]
+
+
+def _awkward_documents():
+    rng = random.Random(7)
+    return [
+        _doc(sample_id, {term: rng.randrange(1, 5) for term in rng.sample(_AWKWARD, 5)}, label)
+        for sample_id, label in zip(_AWKWARD, itertools.cycle(ALL_LABELS))
+    ]
+
+
+def test_ngram_counts_match_the_csv_writer_reference(tmp_path):
+    docs = _awkward_documents()
+    write_ngram_counts(tmp_path / "fast.csv", docs)
+    _reference_ngram_counts(tmp_path / "reference.csv", docs)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_vocabulary_matches_the_csv_writer_reference_and_reads_back(tmp_path):
+    vocabulary = build_vocabulary(_awkward_documents())
+    assert "" in vocabulary.terms and "two\nlines" in vocabulary.terms
+    write_vocabulary(tmp_path / "fast.csv", vocabulary)
+    _reference_vocabulary(tmp_path / "reference.csv", vocabulary)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    assert read_vocabulary(tmp_path / "fast.csv") == vocabulary
 
 
 def test_tokenize_report_uses_trace_order():
