@@ -26,14 +26,20 @@ from typing import NamedTuple
 from .config import SCHEMA, PipelineConfig, coerce, read_config_values
 from .errors import ConfigError, IoFailure, MalformedJson, MissingArtifact, PipelineError
 from .evaluate import evaluate, emit_report, stratified_split
-from .ingest import BehaviorReport, load_corpus, load_manifest, report_from_json_line, report_to_json_bytes
+from .ingest import (
+    BehaviorReport,
+    csv_field,
+    load_corpus,
+    load_manifest,
+    report_from_json_line,
+    report_to_json_bytes,
+)
 from .models import load_model, save_model, train
 from .select import SelectionMask, hybrid_select, read_mask, write_mask, write_selection_report
 from .synth import default_spec, generate_corpus, write_corpus
 from .tokens import (
     Vocabulary,
     build_vocabulary,
-    csv_field,
     documents_for_n,
     merge_documents,
     read_vocabulary,

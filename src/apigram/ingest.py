@@ -279,11 +279,23 @@ def load_manifest(path: str | Path) -> list[tuple[str, ClassLabel, Path]]:
     return entries
 
 
+def csv_field(text: str) -> str:
+    """One text field of a CSV row, quoted the way ``csv.writer`` quotes it.
+
+    A field is quoted only when it holds a comma, a double quote or a line
+    feed, and inner quotes are doubled. A carriage return is quoted too,
+    which ``csv.writer`` with a line-feed terminator does not do, so that
+    ``csv.reader`` reads such a field back whole.
+    """
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_manifest(path: str | Path, rows: list[tuple[str, str, str]]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sample_id", "label", "path"])
-        writer.writerows(rows)
+        fh.write("sample_id,label,path\n")
+        fh.writelines(",".join(map(csv_field, row)) + "\n" for row in rows)
 
 
 def load_corpus(manifest_path: str | Path) -> Iterator[BehaviorReport]:

@@ -196,19 +196,51 @@ def is_class_ordinal(value: object) -> bool:
 
 
 def check_heads(heads: list) -> None:
-    """Reject loaded class heads unless they are distinct class ordinals in
-    ascending order, as ``fit`` lists the classes it saw."""
-    if not (all(map(is_class_ordinal, heads)) and heads == sorted(set(heads))):
-        raise ValueError(f"heads {heads} are not distinct ascending class ordinals in [0, {N_CLASSES})")
-
-
-def check_head_shapes(weights: np.ndarray, bias: np.ndarray, n_heads: int, dim: int) -> None:
-    """Reject a loaded linear model unless it has one row of ``dim`` weights
-    and one bias per class head."""
-    if weights.shape != (n_heads, dim) or bias.shape != (n_heads,):
+    """Reject loaded class heads unless they are two or more distinct class
+    ordinals in ascending order, as ``fit`` lists the classes it saw."""
+    if not (len(heads) >= 2 and all(map(is_class_ordinal, heads)) and heads == sorted(set(heads))):
         raise ValueError(
-            f"weights {weights.shape} and bias {bias.shape} do not fit {n_heads} heads x {dim} columns"
+            f"heads {heads} are not two or more distinct ascending class ordinals in [0, {N_CLASSES})"
         )
+
+
+class LinearHeads(Learner):
+    """A learner that scores each class head as ``W @ x + b``.
+
+    ``W`` holds one row of weights and ``b`` one bias per head. The model
+    file keeps them under the two keys ``PAYLOAD_KEYS`` names.
+    """
+
+    PAYLOAD_KEYS: tuple[str, str]
+
+    def __init__(self, heads: list[int], W: np.ndarray | list, b: np.ndarray | list):
+        self.heads = heads
+        self.W = np.array(W, dtype=np.float64)
+        self.b = np.array(b, dtype=np.float64)
+
+    def head_scores(self, X: np.ndarray) -> np.ndarray:
+        """The (n, heads) array of ``W @ x + b`` for each row ``x`` of ``X``."""
+        out = np.empty((X.shape[0], len(self.heads)), dtype=np.float64)
+        # One mat-vec per row: a batched product may round differently.
+        for r, x in enumerate(X):
+            out[r] = self.W @ x + self.b
+        return out
+
+    def to_payload(self) -> dict:
+        weights, bias = self.PAYLOAD_KEYS
+        return {"heads": self.heads, weights: self.W.tolist(), bias: self.b.tolist()}
+
+    @classmethod
+    def from_payload(cls, payload: dict, dim: int) -> "LinearHeads":
+        weights, bias = cls.PAYLOAD_KEYS
+        learner = cls(list(payload["heads"]), payload[weights], payload[bias])
+        heads, W, b = learner.heads, learner.W, learner.b
+        check_heads(heads)
+        if W.shape != (len(heads), dim) or b.shape != (len(heads),):
+            raise ValueError(
+                f"weights {W.shape} and bias {b.shape} do not fit {len(heads)} heads x {dim} columns"
+            )
+        return learner
 
 
 @dataclass(frozen=True)

@@ -14,38 +14,19 @@ import numpy as np
 from ..errors import DegenerateData
 from ..labels import N_CLASSES
 from ..vectorize import FeatureMatrix
-from .base import Learner, check_head_shapes, check_heads
+from .base import LinearHeads
 
 
-class NaiveBayesLearner(Learner):
-    def __init__(self, heads: list[int], log_prior: list[float], log_theta: list[list[float]]):
-        self.heads = heads
-        self.log_prior = log_prior
-        self.log_theta = log_theta
-        self._W = np.array(log_theta, dtype=np.float64)
-        self._b = np.array(log_prior, dtype=np.float64)
+class NaiveBayesLearner(LinearHeads):
+    """``W`` holds each head's log feature likelihoods, ``b`` its log prior."""
+
+    PAYLOAD_KEYS = ("log_theta", "log_prior")
 
     def scores(self, X: np.ndarray) -> np.ndarray:
+        s = self.head_scores(X)
         out = np.zeros((X.shape[0], N_CLASSES), dtype=np.float64)
-        # One mat-vec per row: a batched product may round differently.
-        for r, x in enumerate(X):
-            s = self._W @ x + self._b
-            out[r, self.heads] = np.exp(s - s.max())
+        out[:, self.heads] = np.exp(s - s.max(axis=1, keepdims=True))
         return out
-
-    def to_payload(self) -> dict:
-        return {"heads": self.heads, "log_prior": self.log_prior, "log_theta": self.log_theta}
-
-    @classmethod
-    def from_payload(cls, payload: dict, dim: int) -> "NaiveBayesLearner":
-        learner = cls(
-            heads=list(payload["heads"]),
-            log_prior=list(payload["log_prior"]),
-            log_theta=payload["log_theta"],
-        )
-        check_heads(learner.heads)
-        check_head_shapes(learner._W, learner._b, len(learner.heads), dim)
-        return learner
 
 
 def fit(matrix: FeatureMatrix, y: np.ndarray, params: dict, seed: int) -> NaiveBayesLearner:
@@ -67,8 +48,8 @@ def fit(matrix: FeatureMatrix, y: np.ndarray, params: dict, seed: int) -> NaiveB
     totals.flat[cells[starts]] = [math.fsum(group) for group in groups]
 
     log_prior = [math.log(count / matrix.n_rows) for count in np.bincount(head_of_row).tolist()]
-    log_theta: list[list[float]] = []
-    for head_totals in totals.tolist():
+    # Each head's totals row is overwritten by its log likelihoods.
+    for h, head_totals in enumerate(totals.tolist()):
         denom = math.fsum(head_totals) + alpha * v
-        log_theta.append([math.log((t + alpha) / denom) for t in head_totals])
-    return NaiveBayesLearner(heads=heads, log_prior=log_prior, log_theta=log_theta)
+        totals[h] = [math.log((t + alpha) / denom) for t in head_totals]
+    return NaiveBayesLearner(heads, W=totals, b=log_prior)

@@ -9,26 +9,29 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..labels import N_CLASSES
+from ..errors import DimensionMismatch
+from ..labels import ALL_LABELS, N_CLASSES
 from ..vectorize import FeatureMatrix
 from .base import Learner, is_class_ordinal
 
+# Elements squared at a time when the unit rows' norms are taken; a whole
+# matrix squared at once would be a second full-size copy of it.
+_NORM_BLOCK_ELEMENTS = 1 << 18
+
 
 class KNearestNeighborsLearner(Learner):
-    def __init__(self, rows: list[list[list[float]]], labels: list[int], k: int, dim: int):
-        self.rows = rows
-        self.labels = labels
+    def __init__(self, matrix: FeatureMatrix, labels: np.ndarray | list[int], k: int):
+        self.matrix = matrix
         self.k = k
-        self.dim = dim
-        dense = np.zeros((len(rows), dim), dtype=np.float64)
-        for i, pairs in enumerate(rows):
-            for j, w in pairs:
-                dense[i, int(j)] = w
-        norms = np.sqrt((dense ** 2).sum(axis=1))
-        norms[norms == 0.0] = 1.0
-        dense /= norms[:, np.newaxis]
-        self._unit = dense
-        self._y = np.array(labels, dtype=np.int64)
+        self._y = np.asarray(labels, dtype=np.int64)
+        unit = matrix.to_dense()
+        step = max(1, _NORM_BLOCK_ELEMENTS // max(1, matrix.n_cols))
+        for start in range(0, matrix.n_rows, step):
+            block = unit[start:start + step]
+            norms = np.sqrt((block ** 2).sum(axis=1))
+            norms[norms == 0.0] = 1.0
+            block /= norms[:, np.newaxis]
+        self._unit = unit
 
     def scores(self, X: np.ndarray) -> np.ndarray:
         votes = np.zeros((X.shape[0], N_CLASSES), dtype=np.float64)
@@ -43,27 +46,32 @@ class KNearestNeighborsLearner(Learner):
         return votes
 
     def to_payload(self) -> dict:
-        return {"rows": self.rows, "labels": self.labels, "k": self.k, "dim": self.dim}
+        m = self.matrix
+        pairs = [list(pair) for pair in zip(m.indices.tolist(), m.data.tolist())]
+        rows = [pairs[a:b] for a, b in zip(m.indptr[:-1].tolist(), m.indptr[1:].tolist())]
+        return {"rows": rows, "labels": self._y.tolist(), "k": self.k, "dim": m.n_cols}
 
     @classmethod
     def from_payload(cls, payload: dict, dim: int) -> "KNearestNeighborsLearner":
         rows = payload["rows"]
         if int(payload["dim"]) != dim:
             raise ValueError(f"kNN payload dim {payload['dim']} differs from the model's {dim}")
-        if not all(0 <= int(j) < dim for pairs in rows for j, _ in pairs):
-            raise ValueError(f"a kNN row holds a column outside [0, {dim})")
         labels = list(payload["labels"])
         if len(labels) != len(rows) or not all(map(is_class_ordinal, labels)):
             raise ValueError(f"kNN labels must be one class ordinal in [0, {N_CLASSES}) per row")
-        return cls(rows=rows, labels=labels, k=int(payload["k"]), dim=dim)
+        if len(set(labels)) < 2:
+            raise ValueError("kNN labels must span at least two classes")
+        try:
+            matrix = FeatureMatrix.from_rows(
+                [{int(j): w for j, w in pairs} for pairs in rows],
+                dim,
+                sample_ids=[""] * len(rows),
+                labels=[ALL_LABELS[c] for c in labels],
+            )
+        except DimensionMismatch as exc:
+            raise ValueError(f"a kNN row holds a column outside [0, {dim})") from exc
+        return cls(matrix, labels, k=int(payload["k"]))
 
 
 def fit(matrix: FeatureMatrix, y: np.ndarray, params: dict, seed: int) -> KNearestNeighborsLearner:
-    pairs = [list(pair) for pair in zip(matrix.indices.tolist(), matrix.data.tolist())]
-    rows = [pairs[a:b] for a, b in zip(matrix.indptr[:-1].tolist(), matrix.indptr[1:].tolist())]
-    return KNearestNeighborsLearner(
-        rows=rows,
-        labels=[int(c) for c in y],
-        k=int(params["k"]),
-        dim=matrix.n_cols,
-    )
+    return KNearestNeighborsLearner(matrix, y, k=int(params["k"]))

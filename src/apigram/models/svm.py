@@ -25,7 +25,7 @@ import numpy as np
 
 from ..labels import N_CLASSES
 from ..vectorize import FeatureMatrix
-from .base import Learner, check_head_shapes, check_heads
+from .base import LinearHeads
 
 _GATHER_BYTES = 2 << 20
 # Steps per speculative block at most. The steps computed past a hit are
@@ -35,42 +35,14 @@ _GATHER_BYTES = 2 << 20
 _BLOCK_STEPS = 32
 
 
-class LinearSvmLearner(Learner):
+class LinearSvmLearner(LinearHeads):
+    PAYLOAD_KEYS = ("weights", "bias")
     probabilistic = False
-
-    def __init__(self, heads: list[int], weights: np.ndarray | list, bias: np.ndarray | list):
-        self.heads = heads
-        self._W = np.array(weights, dtype=np.float64)
-        self._b = np.array(bias, dtype=np.float64)
-
-    @property
-    def weights(self) -> list[list[float]]:
-        return self._W.tolist()
-
-    @property
-    def bias(self) -> list[float]:
-        return self._b.tolist()
 
     def scores(self, X: np.ndarray) -> np.ndarray:
         margins = np.full((X.shape[0], N_CLASSES), -np.inf)
-        # One mat-vec per row: a batched product may round differently.
-        for r, x in enumerate(X):
-            margins[r, self.heads] = self._W @ x + self._b
+        margins[:, self.heads] = self.head_scores(X)
         return margins
-
-    def to_payload(self) -> dict:
-        return {"heads": self.heads, "weights": self.weights, "bias": self.bias}
-
-    @classmethod
-    def from_payload(cls, payload: dict, dim: int) -> "LinearSvmLearner":
-        learner = cls(
-            heads=list(payload["heads"]),
-            weights=payload["weights"],
-            bias=list(payload["bias"]),
-        )
-        check_heads(learner.heads)
-        check_head_shapes(learner._W, learner._b, len(learner.heads), dim)
-        return learner
 
 
 def fit(matrix: FeatureMatrix, y: np.ndarray, params: dict, seed: int) -> LinearSvmLearner:
@@ -127,4 +99,4 @@ def fit(matrix: FeatureMatrix, y: np.ndarray, params: dict, seed: int) -> Linear
                     np.multiply(lr * row_signs[p - 1], rows[p - 1], out=step)
                     np.add(W, step, out=W, where=hits[taken - 1])
             t += len(rows)
-    return LinearSvmLearner(heads=heads, weights=W[:, :v], bias=W[:, v])
+    return LinearSvmLearner(heads, W=W[:, :v], b=W[:, v])

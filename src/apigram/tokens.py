@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import EmptyCorpus, InvalidN, IoFailure
-from .ingest import ApiCallRecord, BehaviorReport
+from .ingest import ApiCallRecord, BehaviorReport, csv_field
 from .labels import ClassLabel
 
 _WHITESPACE = re.compile(r"[ \t\n\r\f\v]+")
@@ -191,19 +191,6 @@ def build_vocabulary(documents: list[TokenDocument]) -> Vocabulary:
 # ---------------------------------------------------------------------------
 # CSV persistence
 # ---------------------------------------------------------------------------
-
-def csv_field(text: str) -> str:
-    """One text field of a CSV row, quoted the way ``csv.writer`` quotes it.
-
-    A field is quoted only when it holds a comma, a double quote or a line
-    feed, and inner quotes are doubled. A carriage return is quoted too,
-    which ``csv.writer`` with a line-feed terminator does not do, so that
-    ``csv.reader`` reads such a field back whole.
-    """
-    if "," in text or '"' in text or "\n" in text or "\r" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
 
 def write_ngram_counts(path: str | Path, documents: list[TokenDocument]) -> None:
     """Write per-sample n-gram counts (terms sorted within each sample)."""

@@ -18,8 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyCorpus, EmptyDocument, IoFailure, ZeroDf
+from .ingest import csv_field
 from .labels import ClassLabel
-from .tokens import TokenDocument, Vocabulary, csv_field
+from .tokens import TokenDocument, Vocabulary
 
 # One stored entry of a matrix, before it is ordered into CSR form.
 _ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("weight", np.float64)])

@@ -1,6 +1,7 @@
 """Report parsing: schema tolerance, normalization, round trips, corpus IO."""
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import random
@@ -430,6 +431,26 @@ def test_manifest_round_trip_and_relative_paths(tmp_path):
     assert label is ClassLabel.TROJAN
     assert path == report_dir / "a.json"
     assert path.exists()
+
+
+def test_manifest_ids_that_need_quoting_read_back_whole(tmp_path):
+    rng = random.Random(26)
+    ids = ["a\rb", "\r", "a,b", 'say "hi"', "two\nlines", '\r\n,"'] + [
+        "".join(rng.choices(["\r", "\n", ",", '"', " ", "x", "7"], k=rng.randrange(1, 7)))
+        for _ in range(300)
+    ]
+    rows = [(sample_id, "Trojan", f"r{i}.json") for i, sample_id in enumerate(ids)]
+    write_manifest(tmp_path / "manifest.csv", rows)
+    entries = load_manifest(tmp_path / "manifest.csv")
+    assert [sample_id for sample_id, _, _ in entries] == ids
+    # Without a carriage return, a row is written as csv.writer writes it.
+    plain = [row for row in rows if "\r" not in row[0]]
+    write_manifest(tmp_path / "plain.csv", plain)
+    with open(tmp_path / "reference.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["sample_id", "label", "path"])
+        writer.writerows(plain)
+    assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_load_manifest_missing_file_raises(tmp_path):

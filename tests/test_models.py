@@ -621,6 +621,31 @@ def test_knn_unit_rows_are_the_rows_divided_by_their_norms():
     assert np.array_equal(learner._unit.view(np.int64), (dense / norms[:, np.newaxis]).view(np.int64))
 
 
+def test_knn_fit_memory_is_one_dense_copy_plus_norm_blocks():
+    import tracemalloc
+
+    # Wide and sparse: the dense unit matrix dwarfs the CSR rows and spans
+    # many norm blocks, the last one partial.
+    rng = np.random.default_rng(223)
+    n, dim = 100, 20000
+    cols = np.sort(rng.choice(dim, size=(n, 50)), axis=1)
+    rows = tuple({int(j): float(rng.random()) + 0.5 for j in r} for r in cols)
+    y = np.arange(n, dtype=np.int64) % 8
+    matrix = FeatureMatrix.from_rows(rows, dim, [f"s{i}" for i in range(n)], [ALL_LABELS[c] for c in y])
+    dense_bytes = 8 * n * dim
+    csr_bytes = matrix.indptr.nbytes + matrix.indices.nbytes + matrix.data.nbytes
+    tracemalloc.start()
+    try:
+        learner = neighbors.fit(matrix, y, {"k": 3}, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes + csr_bytes + 2 * 8 * neighbors._NORM_BLOCK_ELEMENTS
+    dense = matrix.to_dense()
+    norms = np.sqrt((dense ** 2).sum(axis=1))
+    assert np.array_equal(learner._unit.view(np.int64), (dense / norms[:, np.newaxis]).view(np.int64))
+
+
 def test_knn_probabilities_are_neighbor_vote_fractions():
     rng = np.random.default_rng(127)
     matrix = _clustered(rng)
@@ -675,6 +700,19 @@ def test_bayes_fit_is_invariant_under_row_permutation():
         _matrix(dense[perm], [labels[i] for i in perm]),
     )
     assert base.learner.to_payload() == shuffled.learner.to_payload()
+
+
+def test_bayes_scores_match_the_per_row_softmax_bit_for_bit():
+    rng = np.random.default_rng(229)
+    dense = np.abs(rng.normal(size=(40, 12))) * (rng.random((40, 12)) < 0.5)
+    model = train(ModelKind.MULTINOMIAL_NAIVE_BAYES, _matrix(dense))
+    learner = model.learner
+    X = np.abs(rng.normal(size=(200, 12))) * rng.choice([0.01, 1.0, 50.0], size=(200, 1))
+    expected = np.zeros((200, 8))
+    for r, x in enumerate(X):
+        s = learner.W @ x + learner.b
+        expected[r, learner.heads] = np.exp(s - s.max())
+    assert np.array_equal(learner.scores(X).view(np.int64), expected.view(np.int64))
 
 
 def test_bayes_rejects_negative_weights():
@@ -774,9 +812,10 @@ def test_lockstep_svm_matches_the_per_head_loop_bit_for_bit(n_rows, n_classes, d
     params = {"reg_lambda": lam, "epochs": epochs}
     learner = svm.fit(matrix, y, params, seed)
     heads, weights, bias = _per_head_svm_fit(matrix, y, params, seed)
-    assert learner.heads == heads
-    assert np.array_equal(np.array(learner.weights).view(np.int64), np.array(weights).view(np.int64))
-    assert np.array_equal(np.array(learner.bias).view(np.int64), np.array(bias).view(np.int64))
+    payload = learner.to_payload()
+    assert payload["heads"] == heads
+    assert np.array_equal(np.array(payload["weights"]).view(np.int64), np.array(weights).view(np.int64))
+    assert np.array_equal(np.array(payload["bias"]).view(np.int64), np.array(bias).view(np.int64))
 
 
 def test_svm_fit_scratch_memory_is_bounded_by_the_gather_budget():
@@ -811,7 +850,8 @@ def test_lockstep_svm_margins_round_like_the_per_head_loop(seed):
     params = {"reg_lambda": 1.0, "epochs": 2}
     learner = svm.fit(matrix, y, params, seed)
     _, weights, bias = _per_head_svm_fit(matrix, y, params, seed)
-    assert (learner.weights, learner.bias) == (weights, bias)
+    payload = learner.to_payload()
+    assert (payload["weights"], payload["bias"]) == (weights, bias)
 
 
 # ---------------------------------------------------------------------------
@@ -891,6 +931,15 @@ def test_saved_models_reload_with_identical_behavior(tmp_path):
                 before = predict_proba(model, row).probabilities
                 after = predict_proba(loaded, row).probabilities
                 assert before == after
+
+
+def test_saving_a_loaded_model_rewrites_its_file_byte_for_byte(tmp_path):
+    matrix = _clustered(np.random.default_rng(197), per_class=3)
+    for kind in ALL_KINDS:
+        path, again = tmp_path / f"{kind.value}.json", tmp_path / f"{kind.value}-again.json"
+        save_model(_fast_model(kind, matrix, seed=5), path)
+        save_model(load_model(path), again)
+        assert again.read_bytes() == path.read_bytes(), kind
 
 
 def test_truncated_model_file_is_reported_corrupt(tmp_path):
@@ -977,6 +1026,18 @@ def test_malformed_tree_payload_is_reported_corrupt(tmp_path, kind, corrupt):
     _assert_corrupt_after_edit(tmp_path, kind, corrupt)
 
 
+def _keep_first_head(document, weights, bias):
+    """A linear model of one class head: ``train`` needs two classes."""
+    for key in ("heads", weights, bias):
+        del document["payload"][key][1:]
+
+
+def _keep_no_gbt_head(document):
+    payload = document["payload"]
+    payload["heads"] = []
+    payload["rounds"] = [[] for _ in payload["rounds"]]
+
+
 @pytest.mark.parametrize("kind, corrupt", [
     pytest.param(ModelKind.LINEAR_SVM,
                  lambda d: d["payload"]["heads"].__setitem__(-1, 9), id="svm-heads-holding-9"),
@@ -986,6 +1047,14 @@ def test_malformed_tree_payload_is_reported_corrupt(tmp_path, kind, corrupt):
                  lambda d: d["payload"]["labels"].__setitem__(0, 12), id="knn-label-12"),
     pytest.param(ModelKind.K_NEAREST_NEIGHBORS,
                  lambda d: d["payload"]["labels"].pop(), id="knn-one-label-short"),
+    pytest.param(ModelKind.LINEAR_SVM,
+                 lambda d: _keep_first_head(d, "weights", "bias"), id="svm-one-head"),
+    pytest.param(ModelKind.MULTINOMIAL_NAIVE_BAYES,
+                 lambda d: _keep_first_head(d, "log_theta", "log_prior"), id="nb-one-head"),
+    pytest.param(ModelKind.GRADIENT_BOOSTED_TREES, lambda d: _keep_no_gbt_head(d), id="gbt-no-heads"),
+    pytest.param(ModelKind.K_NEAREST_NEIGHBORS,
+                 lambda d: d["payload"].update(labels=[0] * len(d["payload"]["labels"])),
+                 id="knn-labels-one-class"),
 ])
 def test_out_of_range_class_ordinals_are_reported_corrupt(tmp_path, kind, corrupt):
     _assert_corrupt_after_edit(tmp_path, kind, corrupt)

@@ -22,6 +22,7 @@ REMOVED = {
     "apigram.evaluate": ("read_confusion",),
     "apigram.select": ("mutual_information",),
     "apigram.cli": ("_model_settings",),
+    "apigram.models.base": ("check_head_shapes",),
 }
 
 
