@@ -24,6 +24,7 @@ from .errors import ConfigError
 from .evaluate import SplitSpec
 from .models import HyperParams, ModelKind
 from .select import ALL_LEXICAL_RULES, SelectionConfig
+from .tokens import SUPPORTED_N
 
 # key -> (type tag, default, help text). Type tags: int, float, bool,
 # str, ints (comma list of int), strs (comma list of str).
@@ -178,7 +179,7 @@ class PipelineConfig:
         if self["eval.average"] not in ("macro", "weighted"):
             raise ConfigError("eval.average must be macro or weighted")
         sizes = self["ngram.sizes"]
-        if not sizes or any(n not in (1, 2, 3) for n in sizes) or len(set(sizes)) != len(sizes):
+        if not sizes or any(n not in SUPPORTED_N for n in sizes) or len(set(sizes)) != len(sizes):
             raise ConfigError("ngram.sizes must be a non-empty subset of 1,2,3")
         max_args = self["ngram.max_args"]
         if max_args < 0:

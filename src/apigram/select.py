@@ -2,13 +2,16 @@
 
 Stages run in a fixed order: lexical rules over argument content, then
 document-frequency bounds, then mutual-information ranking, then greedy
-correlation pruning, then truncation to the target retention ratio. Both
+correlation pruning, then truncation to the target retention ratio. Each
+stage takes the mask the stage before it kept, judges only those columns
+and returns a narrower mask with its own provenance row appended. Both
 ratio stages are measured against the original vocabulary size, so the
 final mask never exceeds ``ceil(target_ratio * V)`` columns.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -17,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AllFeaturesRemoved, DimensionMismatch, IoFailure
+from .ingest import csv_field
 from .labels import N_CLASSES
 from .tokens import NGRAM_JOINER, TOKEN_JOINER, Vocabulary
 from .vectorize import FeatureMatrix
@@ -26,14 +30,15 @@ RULE_CONTAINS_SPECIAL = "contains-special"
 RULE_HEX_ADDRESS = "is-hex-address"
 RULE_PURE_NUMERIC = "is-pure-numeric"
 
-ALL_LEXICAL_RULES = frozenset(
-    {RULE_CONTAINS_DIGIT, RULE_CONTAINS_SPECIAL, RULE_HEX_ADDRESS, RULE_PURE_NUMERIC}
-)
+# Each lexical rule and the pattern an argument segment matches to break it.
+_LEXICAL_PATTERNS = {
+    RULE_CONTAINS_DIGIT: r"\d",
+    RULE_CONTAINS_SPECIAL: r"[^A-Za-z._-]",
+    RULE_HEX_ADDRESS: r"^0x[0-9a-fA-F]+$",
+    RULE_PURE_NUMERIC: r"^[0-9]+$",
+}
 
-_DIGIT = re.compile(r"\d")
-_SPECIAL = re.compile(r"[^A-Za-z._-]")
-_HEX_ADDR = re.compile(r"^0x[0-9a-fA-F]+$")
-_PURE_NUM = re.compile(r"^[0-9]+$")
+ALL_LEXICAL_RULES = frozenset(_LEXICAL_PATTERNS)
 
 # A successful duplicate match at a clamped threshold of 1.0 tolerates
 # float rounding in the correlation itself.
@@ -105,21 +110,30 @@ def identity_mask(n_cols: int, stage: str = "identity") -> SelectionMask:
     return SelectionMask(kept=tuple(range(n_cols)), provenance=((stage, n_cols, n_cols),))
 
 
+def _narrow(
+    mask: SelectionMask, stage: str, kept: list[int], scores: dict[int, float] | None, failure: str
+) -> SelectionMask:
+    """The mask a stage keeps of ``mask``: the ``kept`` columns in ascending
+    order, their ``scores`` (0.0 where missing) and the stage's provenance row
+    appended. Raises ``AllFeaturesRemoved(failure)`` when nothing is kept."""
+    kept = sorted(kept)
+    if not kept:
+        raise AllFeaturesRemoved(failure)
+    return SelectionMask(
+        kept=tuple(kept),
+        scores={} if scores is None else {j: scores.get(j, 0.0) for j in kept},
+        provenance=mask.provenance + ((stage, len(mask), len(kept)),),
+    )
+
+
+def _by_rank(mask: SelectionMask) -> list[int]:
+    """The mask's columns by descending score, ties by ascending column."""
+    return sorted(mask.kept, key=lambda j: (-mask.scores.get(j, 0.0), j))
+
+
 # ---------------------------------------------------------------------------
 # Stage 1: lexical rules over argument segments
 # ---------------------------------------------------------------------------
-
-def _violates(segment: str, rules: frozenset[str]) -> bool:
-    if RULE_HEX_ADDRESS in rules and _HEX_ADDR.match(segment):
-        return True
-    if RULE_PURE_NUMERIC in rules and _PURE_NUM.match(segment):
-        return True
-    if RULE_CONTAINS_DIGIT in rules and _DIGIT.search(segment):
-        return True
-    if RULE_CONTAINS_SPECIAL in rules and _SPECIAL.search(segment):
-        return True
-    return False
-
 
 def lexical_filter(vocabulary: Vocabulary, rules: frozenset[str] | set[str]) -> SelectionMask:
     """Drop terms whose argument content matches any enabled rule."""
@@ -129,20 +143,15 @@ def lexical_filter(vocabulary: Vocabulary, rules: frozenset[str] | set[str]) -> 
         raise DimensionMismatch(f"unknown lexical rules: {sorted(unknown)}")
     if not rules:
         return identity_mask(len(vocabulary), "lexical")
+    search = re.compile("|".join(f"(?:{_LEXICAL_PATTERNS[rule]})" for rule in sorted(rules))).search
 
     def token_violates(token: str) -> bool:
         # The leading API-name segment of a token is exempt.
-        return any(_violates(segment, rules) for segment in token.split(TOKEN_JOINER)[1:])
+        return any(map(search, token.split(TOKEN_JOINER)[1:]))
 
     # n-grams share most of their tokens, so each distinct token of a
     # multi-token term is judged once per call.
-    verdicts: dict[str, bool] = {}
-
-    def cached_violates(token: str) -> bool:
-        verdict = verdicts.get(token)
-        if verdict is None:
-            verdict = verdicts[token] = token_violates(token)
-        return verdict
+    cached_violates = functools.cache(token_violates)
 
     kept = []
     for j, term in enumerate(vocabulary.terms):
@@ -152,44 +161,36 @@ def lexical_filter(vocabulary: Vocabulary, rules: frozenset[str] | set[str]) -> 
             violates = token_violates(term)
         if not violates:
             kept.append(j)
-    if not kept:
-        raise AllFeaturesRemoved("lexical rules removed every feature")
-    return SelectionMask(
-        kept=tuple(kept),
-        provenance=(("lexical", len(vocabulary), len(kept)),),
-    )
+    # The stage's input is every column; a range keeps V int objects out of
+    # the heap, which would otherwise raise the select stage's peak RSS.
+    every = SelectionMask(kept=range(len(vocabulary)))
+    return _narrow(every, "lexical", kept, None, "lexical rules removed every feature")
 
 
 # ---------------------------------------------------------------------------
 # Stage 2: document-frequency bounds
 # ---------------------------------------------------------------------------
 
-def _column_df(matrix: FeatureMatrix) -> np.ndarray:
-    return np.bincount(matrix.indices, minlength=matrix.n_cols)
-
-
 def frequency_filter(
     freq: FeatureMatrix,
-    vocabulary: Vocabulary,
+    candidates: SelectionMask,
     min_df: int,
     max_df_ratio: float,
 ) -> SelectionMask:
-    """Keep features seen in at least ``min_df`` and at most
+    """Keep the candidates seen in at least ``min_df`` and at most
     ``max_df_ratio * N`` of the matrix's rows.
 
     Document frequency is measured on the matrix itself, so masks fitted
     on a training subset reflect that subset.
     """
-    if freq.n_cols != len(vocabulary):
-        raise DimensionMismatch("frequency matrix does not match the vocabulary")
-    df = _column_df(freq)
-    ceiling = max_df_ratio * freq.n_rows
-    kept = [j for j in range(freq.n_cols) if min_df <= df[j] <= ceiling]
-    if not kept:
-        raise AllFeaturesRemoved("document-frequency bounds removed every feature")
-    return SelectionMask(
-        kept=tuple(kept),
-        provenance=(("frequency", freq.n_cols, len(kept)),),
+    if candidates.kept[0] < 0 or candidates.kept[-1] >= freq.n_cols:
+        raise DimensionMismatch("candidate columns lie outside the frequency matrix")
+    cols = np.array(candidates.kept)
+    df = np.bincount(freq.indices, minlength=freq.n_cols)[cols]
+    in_bounds = (df >= min_df) & (df <= max_df_ratio * freq.n_rows)
+    return _narrow(
+        candidates, "frequency", cols[in_bounds].tolist(), None,
+        "document-frequency bounds removed every feature",
     )
 
 
@@ -235,14 +236,9 @@ def rank_by_mi(matrix: FeatureMatrix, candidates: SelectionMask, keep: int) -> S
     # A column's MI depends on that column alone, so only the candidates' is
     # computed: the per-column arrays then scale with them, not the vocabulary.
     mi = dict(zip(candidates.kept, mutual_information_all(matrix.apply_mask(candidates.kept)).tolist()))
-    order = sorted(candidates.kept, key=lambda j: (-mi[j], j))
-    chosen = sorted(order[:max(keep, 1)])
-    if not chosen:
-        raise AllFeaturesRemoved("mutual-information ranking removed every feature")
-    return SelectionMask(
-        kept=tuple(chosen),
-        scores={j: mi[j] for j in chosen},
-        provenance=candidates.provenance + (("mi", len(candidates), len(chosen)),),
+    ranked = _by_rank(SelectionMask(kept=candidates.kept, scores=mi))
+    return _narrow(
+        candidates, "mi", ranked[:max(keep, 1)], mi, "mutual-information ranking removed every feature"
     )
 
 
@@ -310,7 +306,7 @@ def correlation_prune(
     def redundant(r: float) -> bool:
         return r >= cut if duplicates_only else r > cut
 
-    order = sorted(candidates.kept, key=lambda j: (-candidates.scores.get(j, 0.0), j))
+    order = _by_rank(candidates)
     # cols[p] is the column of order[p], one contiguous row per candidate.
     position = {j: p for p, j in enumerate(order)}
     rank = np.array([position[j] for j in candidates.kept], dtype=np.int64)
@@ -331,13 +327,9 @@ def correlation_prune(
                 continue
             kept[n_kept] = p
             n_kept += 1
-    if not n_kept:
-        raise AllFeaturesRemoved("correlation pruning removed every feature")
-    chosen = tuple(sorted(order[p] for p in kept[:n_kept]))
-    return SelectionMask(
-        kept=chosen,
-        scores={j: candidates.scores.get(j, 0.0) for j in chosen},
-        provenance=candidates.provenance + (("correlation", len(candidates), len(chosen)),),
+    return _narrow(
+        candidates, "correlation", [order[p] for p in kept[:n_kept]], candidates.scores,
+        "correlation pruning removed every feature",
     )
 
 
@@ -363,29 +355,14 @@ def hybrid_select(
         raise DimensionMismatch("matrices do not match the vocabulary")
     v_original = len(vocabulary)
     mask = lexical_filter(vocabulary, config.lexical_filters)
-
-    freq_mask = frequency_filter(freq, vocabulary, config.min_df, config.max_df_ratio)
-    surviving = sorted(set(mask.kept) & set(freq_mask.kept))
-    if not surviving:
-        raise AllFeaturesRemoved("no features survive the filter stages")
-    mask = SelectionMask(
-        kept=tuple(surviving),
-        provenance=mask.provenance + (("frequency", len(mask), len(surviving)),),
-    )
-
+    mask = frequency_filter(freq, mask, config.min_df, config.max_df_ratio)
     mi_keep = math.ceil(max(config.mi_top_ratio, config.target_ratio) * v_original)
     mask = rank_by_mi(freq, mask, mi_keep)
-
     if config.target_ratio < 1.0:
         mask = correlation_prune(tfidf, mask, config.corr_threshold)
         target = math.ceil(config.target_ratio * v_original)
-        by_rank = sorted(mask.kept, key=lambda j: (-mask.scores[j], j))[:target]
-        chosen = tuple(sorted(by_rank))
-        mask = SelectionMask(
-            kept=chosen,
-            scores={j: mask.scores[j] for j in chosen},
-            provenance=mask.provenance + (("truncate", len(mask), len(chosen)),),
-        )
+        ranked = _by_rank(mask)[:target]
+        mask = _narrow(mask, "truncate", ranked, mask.scores, "truncation removed every feature")
     return mask
 
 
@@ -395,10 +372,10 @@ def hybrid_select(
 
 def write_mask(path: str | Path, mask: SelectionMask, vocabulary: Vocabulary) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["kept_index", "ngram", "mi_score"])
-        for j in mask.kept:
-            writer.writerow([j, vocabulary.terms[j], format(mask.scores.get(j, 0.0), ".17g")])
+        fh.write("kept_index,ngram,mi_score\n")
+        fh.writelines(
+            f"{j},{csv_field(vocabulary.terms[j])},{mask.scores.get(j, 0.0):.17g}\n" for j in mask.kept
+        )
 
 
 def read_mask(path: str | Path) -> SelectionMask:
@@ -417,7 +394,5 @@ def read_mask(path: str | Path) -> SelectionMask:
 
 def write_selection_report(path: str | Path, mask: SelectionMask) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["stage", "features_in", "features_out"])
-        for stage, n_in, n_out in mask.provenance:
-            writer.writerow([stage, n_in, n_out])
+        fh.write("stage,features_in,features_out\n")
+        fh.writelines(f"{csv_field(stage)},{n_in},{n_out}\n" for stage, n_in, n_out in mask.provenance)

@@ -1,5 +1,6 @@
 """The exported names: every ``__all__`` entry resolves, removed helpers stay
-gone, and every function the benchmark's tracer wraps still exists."""
+gone, and every function the benchmark's tracer wraps still exists; the
+selection stages it wraps are each called once per cascade."""
 from __future__ import annotations
 
 import importlib
@@ -12,8 +13,12 @@ import pytest
 
 import apigram
 import apigram.models
+from apigram import select
 from apigram.cli import build_parser, resolve_config
+from apigram.labels import ALL_LABELS
 from apigram.models import ModelKind
+from apigram.tokens import Vocabulary
+from apigram.vectorize import FeatureMatrix
 
 REMOVED = {
     "apigram": ("mutual_information", "partition_elements", "tokenize_report"),
@@ -65,6 +70,38 @@ def test_every_traced_attribute_resolves():
         for part in attribute.split("."):
             owner = getattr(owner, part, None)
         assert callable(owner), f"{module_name}.{attribute}"
+
+
+def test_every_traced_selection_stage_is_called_once_per_cascade(monkeypatch):
+    # The tracer times each selection stage by wrapping its ``apigram.select``
+    # global; a stage that ``hybrid_select`` no longer calls through that
+    # global would leave its span empty without failing anything else.
+    tracer = _load_perfbench("tracer", monkeypatch)
+    stages = [attribute for module_name, attribute, _ in tracer.WRAPS if module_name == "apigram.select"]
+    assert sorted(stages) == ["correlation_prune", "frequency_filter", "lexical_filter", "rank_by_mi"]
+    calls = dict.fromkeys(stages, 0)
+
+    def counting(name, stage):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return stage(*args, **kwargs)
+        return wrapper
+
+    for name in stages:
+        monkeypatch.setattr(select, name, counting(name, getattr(select, name)))
+    n_rows, n_cols = 16, 40
+    rows = tuple({j: float(1 + i % 3) for j in range(n_cols) if (i * j + j) % 4} for i in range(n_rows))
+    matrix = FeatureMatrix.from_rows(
+        rows=rows,
+        n_cols=n_cols,
+        sample_ids=tuple(f"s{i}" for i in range(n_rows)),
+        labels=tuple(ALL_LABELS[i % 8] for i in range(n_rows)),
+    )
+    vocabulary = Vocabulary(terms=tuple(f"Api{j}_arg" for j in range(n_cols)), df=(1,) * n_cols, n_docs=n_rows)
+    config = select.SelectionConfig(min_df=1, max_df_ratio=1.0, mi_top_ratio=0.5, target_ratio=0.1)
+    mask = select.hybrid_select(matrix, matrix, vocabulary, config)
+    assert [stage for stage, _, _ in mask.provenance] == ["lexical", "frequency", "mi", "correlation", "truncate"]
+    assert calls == dict.fromkeys(stages, 1)
 
 
 def _load_perfbench(name: str, monkeypatch):

@@ -221,26 +221,28 @@ def test_frequency_filter_bounds():
         [4, 0, 0, 1],
     ]
     freq = _matrix(dense)
-    vocabulary = _vocab(["a", "b", "c", "d"])
-    mask = frequency_filter(freq, vocabulary, min_df=2, max_df_ratio=0.95)
+    mask = frequency_filter(freq, identity_mask(4), min_df=2, max_df_ratio=0.95)
     assert mask.kept == (1, 3)
-    assert mask.provenance == (("frequency", 4, 2),)
+    assert mask.provenance == (("identity", 4, 4), ("frequency", 4, 2))
 
 
 def test_frequency_filter_ratio_one_keeps_ubiquitous_terms():
     freq = _matrix([[1, 1], [1, 0]])
-    mask = frequency_filter(freq, _vocab(["a", "b"]), min_df=1, max_df_ratio=1.0)
+    mask = frequency_filter(freq, identity_mask(2), min_df=1, max_df_ratio=1.0)
     assert mask.kept == (0, 1)
 
 
 def test_frequency_filter_requires_matching_width():
+    # A candidate at or beyond the matrix's last column is rejected.
     with pytest.raises(DimensionMismatch):
-        frequency_filter(_matrix([[1, 1]]), _vocab(["a"]), 1, 1.0)
+        frequency_filter(_matrix([[1, 1]]), identity_mask(3), 1, 1.0)
+    with pytest.raises(DimensionMismatch):
+        frequency_filter(_matrix([[1, 1]]), SelectionMask(kept=(2,)), 1, 1.0)
 
 
 def test_frequency_filter_removing_everything_raises():
     with pytest.raises(AllFeaturesRemoved):
-        frequency_filter(_matrix([[1], [1]]), _vocab(["a"]), min_df=3, max_df_ratio=1.0)
+        frequency_filter(_matrix([[1], [1]]), identity_mask(1), min_df=3, max_df_ratio=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +592,89 @@ def test_hybrid_ceiling_holds_across_random_targets():
         assert len(mask) <= math.ceil(target * v)
         assert all(0 <= j < v for j in mask.kept)
         assert list(mask.kept) == sorted(set(mask.kept))
+
+
+def _reference_cascade(tfidf_dense, freq_dense, labels, terms, config):
+    """The cascade from its parts: per-segment lexical rules, df bounds over
+    every column intersected as sets, MI ranked over the whole vocabulary,
+    the pairwise ``_pearson`` prune and truncation. ``None`` when a stage
+    removes every feature."""
+    v = len(terms)
+    lexical = _reference_lexical_kept(terms, config.lexical_filters)
+    provenance = [("lexical", v, len(lexical))]
+    df = (freq_dense != 0).sum(axis=0)
+    ceiling = config.max_df_ratio * freq_dense.shape[0]
+    in_bounds = {j for j in range(v) if config.min_df <= df[j] <= ceiling}
+    surviving = sorted(set(lexical) & in_bounds)
+    if not lexical or not surviving:
+        return None
+    provenance.append(("frequency", len(lexical), len(surviving)))
+    mi = mutual_information_all(_matrix(freq_dense, labels)).tolist()
+    keep = math.ceil(max(config.mi_top_ratio, config.target_ratio) * v)
+    kept = sorted(sorted(surviving, key=lambda j: (-mi[j], j))[:keep])
+    provenance.append(("mi", len(surviving), len(kept)))
+    if config.target_ratio < 1.0:
+        pruned = _pairwise_prune_oracle(
+            tfidf_dense[:, kept], [mi[j] for j in kept], config.corr_threshold
+        )
+        pruned = [kept[p] for p in pruned]
+        provenance.append(("correlation", len(kept), len(pruned)))
+        target = math.ceil(config.target_ratio * v)
+        kept = sorted(sorted(pruned, key=lambda j: (-mi[j], j))[:target])
+        provenance.append(("truncate", len(pruned), len(kept)))
+    return tuple(kept), {j: mi[j] for j in kept}, tuple(provenance)
+
+
+def _cascade_corpus(rng, seed):
+    """Random counts over lexical-test terms, with ubiquitous columns and
+    clones; the TF-IDF stand-in scales each count column by its own weight."""
+    terms = _lexical_terms(seed)
+    n, v = int(rng.integers(8, 41)), len(terms)
+    freq = (rng.random((n, v)) < rng.uniform(0.1, 0.6)) * rng.integers(1, 4, size=(n, v))
+    kind = rng.random(v)
+    freq[:, kind < 0.05] = 1
+    clones = kind > 0.8
+    freq[:, clones] = freq[:, rng.integers(0, v, clones.sum())]
+    tfidf = freq * rng.uniform(0.1, 3.0, v)
+    labels = [ALL_LABELS[int(c)] for c in rng.integers(0, 8, size=n)]
+    return terms, freq.astype(float), tfidf, labels
+
+
+def test_hybrid_matches_the_cascade_built_from_its_parts():
+    rng = np.random.default_rng(83)
+    subsets = [
+        frozenset(rules)
+        for size in range(len(ALL_LEXICAL_RULES) + 1)
+        for rules in itertools.combinations(sorted(ALL_LEXICAL_RULES), size)
+    ]
+    outcomes = set()
+    for trial in range(30):
+        terms, freq_dense, tfidf_dense, labels = _cascade_corpus(rng, trial)
+        freq, tfidf = _matrix(freq_dense, labels), _matrix(tfidf_dense, labels)
+        vocabulary = _vocab(terms, n_docs=len(labels))
+        mi_top_ratio = float(rng.choice([0.05, 0.3, 1.0]))
+        for (min_df, max_df_ratio), target_ratio, corr_threshold in itertools.product(
+            [(1, 1.0), (2, 0.9), (len(labels) + 1, 1.0)], [1.0, 0.05, 0.2], [0.9, 1.5, math.inf]
+        ):
+            config = SelectionConfig(
+                lexical_filters=subsets[trial % len(subsets)],
+                min_df=min_df,
+                max_df_ratio=max_df_ratio,
+                mi_top_ratio=mi_top_ratio,
+                corr_threshold=corr_threshold,
+                target_ratio=target_ratio,
+            )
+            expected = _reference_cascade(tfidf_dense, freq_dense, labels, terms, config)
+            if expected is None:
+                with pytest.raises(AllFeaturesRemoved):
+                    hybrid_select(tfidf, freq, vocabulary, config)
+                outcomes.add("removed")
+                continue
+            mask = hybrid_select(tfidf, freq, vocabulary, config)
+            assert (mask.kept, mask.scores, mask.provenance) == expected, (trial, config)
+            outcomes.update(stage for stage, n_in, n_out in mask.provenance if n_out < n_in)
+    # Every stage cut somewhere, and some config removed everything.
+    assert outcomes == {"lexical", "frequency", "mi", "correlation", "truncate", "removed"}
 
 
 def test_hybrid_rejects_mismatched_matrices():
