@@ -14,7 +14,6 @@ the merged layers are checked once, before any command writes.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -24,11 +23,10 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .config import SCHEMA, PipelineConfig, coerce, read_config_values
-from .errors import ConfigError, IoFailure, MalformedJson, MissingArtifact, PipelineError
+from .errors import ConfigError, MalformedJson, MissingArtifact, PipelineError
 from .evaluate import evaluate, emit_report, stratified_split
 from .ingest import (
     BehaviorReport,
-    csv_field,
     load_corpus,
     load_manifest,
     report_from_json_line,
@@ -37,6 +35,7 @@ from .ingest import (
 from .models import load_model, save_model, train
 from .select import SelectionMask, hybrid_select, read_mask, write_mask, write_selection_report
 from .synth import default_spec, generate_corpus, write_corpus
+from .tables import csv_field, read_table, write_table
 from .tokens import (
     Vocabulary,
     build_vocabulary,
@@ -172,34 +171,28 @@ def _read_reports(cfg: PipelineConfig) -> Iterator[BehaviorReport]:
             yield report
 
 
-def _write_split(cfg: PipelineConfig, sample_ids, train_rows, test_rows) -> Path:
-    path = cfg.workdir / "split.csv"
+_SPLIT_COLUMNS = ("row", "sample_id", "part")
+
+
+def _write_split(cfg: PipelineConfig, sample_ids, train_rows, test_rows) -> None:
     membership = {row: "train" for row in train_rows}
     membership.update({row: "test" for row in test_rows})
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("row,sample_id,part\n")
-        fh.writelines(
-            f"{row},{csv_field(sample_ids[row])},{csv_field(membership[row])}\n" for row in sorted(membership)
-        )
-    return path
+    write_table(cfg.workdir / "split.csv", _SPLIT_COLUMNS, (
+        f"{row},{csv_field(sample_ids[row])},{csv_field(membership[row])}\n" for row in sorted(membership)
+    ))
 
 
 def _read_split(cfg: PipelineConfig) -> tuple[list[int], list[int]]:
     path = _require(cfg.workdir / "split.csv", "featurize")
     parts: dict[str, list[int]] = {"train": [], "test": []}
     seen: set[int] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        for line_no, record in enumerate(reader, start=2):
-            try:
-                row, part = int(record[0]), parts[record[2]]
-            except (IndexError, KeyError, ValueError) as exc:
-                raise IoFailure(f"{path}:{line_no}: bad split record {record!r}") from exc
+    with read_table(path, _SPLIT_COLUMNS) as (records, _):
+        for index, _, part in records:
+            row = int(index)
             if row in seen:
-                raise IoFailure(f"{path}:{line_no}: row {row} is listed twice")
+                raise ValueError(f"row {row} is listed twice")
             seen.add(row)
-            part.append(row)
+            parts[part].append(row)
     return parts["train"], parts["test"]
 
 
@@ -273,14 +266,13 @@ def _ingest(cfg: PipelineConfig) -> Iterator[BehaviorReport]:
     its line is written. The lines go to a temporary file that replaces
     ``corpus.jsonl`` only once every report has been parsed; a failure, or
     closing the generator early, removes it."""
-    manifest = _require(cfg.manifest_path, "synth (or point io.manifest at a corpus)")
-    n_entries = len(load_manifest(manifest))
+    entries = load_manifest(_require(cfg.manifest_path, "synth (or point io.manifest at a corpus)"))
     out_path = cfg.workdir / "corpus.jsonl"
     tmp_path = out_path.with_name(out_path.name + ".tmp")
     n_reports = 0
     try:
         with open(tmp_path, "wb") as fh:
-            for report in load_corpus(manifest):
+            for report in load_corpus(entries):
                 fh.write(report_to_json_bytes(report) + b"\n")
                 n_reports += 1
                 yield report
@@ -289,7 +281,7 @@ def _ingest(cfg: PipelineConfig) -> Iterator[BehaviorReport]:
         tmp_path.unlink(missing_ok=True)
         raise
     print(
-        f"ingest: parsed {n_reports} reports, dropped {n_entries - n_reports} "
+        f"ingest: parsed {n_reports} reports, dropped {len(entries) - n_reports} "
         f"with an empty trace -> {out_path}"
     )
 

@@ -7,100 +7,102 @@ from __future__ import annotations
 
 
 class PipelineError(Exception):
-    """Base class for all pipeline failures."""
+    """Base class for all pipeline failures; ``code`` is the class name."""
 
     code = "PipelineError"
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.code = cls.__name__
 
 
 # --- report ingest ---------------------------------------------------------
 
 class MalformedJson(PipelineError):
-    code = "MalformedJson"
+    """A report or ``corpus.jsonl`` line is not the JSON it should be."""
 
 
 class MissingBehaviorSection(PipelineError):
-    code = "MissingBehaviorSection"
+    """A report has no per-process call lists."""
 
 
 class EmptyTrace(PipelineError):
     """Report parsed fine but contains zero API calls."""
 
-    code = "EmptyTrace"
-
 
 # --- tokenizer / vectorizer ------------------------------------------------
 
 class InvalidN(PipelineError):
-    code = "InvalidN"
+    """An n-gram size outside the supported ones."""
 
 
 class EmptyCorpus(PipelineError):
-    code = "EmptyCorpus"
+    """No documents to build a vocabulary or matrix from."""
 
 
 class EmptyDocument(PipelineError):
-    code = "EmptyDocument"
+    """Term frequency asked of a document with no n-grams."""
 
 
 class ZeroDf(PipelineError):
-    code = "ZeroDf"
+    """IDF asked of a term no document contains."""
 
 
 # --- selector ---------------------------------------------------------------
 
 class AllFeaturesRemoved(PipelineError):
-    code = "AllFeaturesRemoved"
+    """A selection stage kept no feature."""
 
 
 # --- models -----------------------------------------------------------------
 
 class DegenerateData(PipelineError):
-    code = "DegenerateData"
+    """Training data a learner cannot fit, such as a single class."""
 
 
 class NonFiniteInput(PipelineError):
-    code = "NonFiniteInput"
+    """A NaN or infinite feature weight."""
 
 
 class DimensionMismatch(PipelineError):
-    code = "DimensionMismatch"
+    """Shapes that do not fit each other."""
 
 
 class Unsupported(PipelineError):
-    code = "Unsupported"
+    """An operation the chosen learner does not offer."""
 
 
 class VersionMismatch(PipelineError):
-    code = "VersionMismatch"
+    """A model file of another format version."""
 
 
 class CorruptModel(PipelineError):
-    code = "CorruptModel"
+    """A model file that cannot be read back."""
 
 
 # --- evaluator / synth ------------------------------------------------------
 
 class ClassTooSmall(PipelineError):
-    code = "ClassTooSmall"
+    """A class with too few samples to split."""
 
 
 class EmptyTestSet(PipelineError):
-    code = "EmptyTestSet"
+    """Evaluation asked on zero test rows."""
 
 
 class InvalidSpec(PipelineError):
-    code = "InvalidSpec"
+    """A synthetic-corpus spec that cannot be generated."""
 
 
 class IoFailure(PipelineError):
-    code = "IoFailure"
+    """A file that cannot be read or written."""
 
 
 # --- cli ---------------------------------------------------------------------
 
 class ConfigError(PipelineError):
-    code = "ConfigError"
+    """A config file, key or value that cannot be used."""
 
 
 class MissingArtifact(PipelineError):
-    code = "MissingArtifact"
+    """A stage's input file that an earlier stage has not written."""

@@ -8,7 +8,6 @@ is also rendered as a self-contained SVG heatmap.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,9 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ClassTooSmall, DimensionMismatch, EmptyTestSet, IoFailure
+from .errors import ClassTooSmall, DimensionMismatch, EmptyTestSet
 from .labels import ALL_LABELS, ClassLabel, N_CLASSES
 from .models import TrainedModel, predict_matrix
+from .tables import csv_field, write_table, write_text
 from .vectorize import FeatureMatrix
 
 
@@ -155,29 +155,16 @@ def evaluate(
 # Artifact emission
 # ---------------------------------------------------------------------------
 
-def _percent(value: float) -> str:
-    return f"{100.0 * value:.2f}"
-
-
 def write_metrics(path: str | Path, classifier: str, report: EvalReport) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["classifier", "accuracy", "f1", "recall", "precision"])
-        writer.writerow([
-            classifier,
-            _percent(report.accuracy),
-            _percent(report.macro.f1),
-            _percent(report.macro.recall),
-            _percent(report.macro.precision),
-        ])
+    macro = report.macro
+    scores = [f"{100.0 * value:.2f}" for value in (report.accuracy, macro.f1, macro.recall, macro.precision)]
+    write_table(path, ("classifier", "accuracy", "f1", "recall", "precision"),
+                [",".join([csv_field(classifier), *scores]) + "\n"])
 
 
 def write_confusion(path: str | Path, report: EvalReport) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([label.value for label in ALL_LABELS])
-        for row in report.confusion:
-            writer.writerow(list(row))
+    write_table(path, [label.value for label in ALL_LABELS],
+                (",".join(map(str, row)) + "\n" for row in report.confusion))
 
 
 _CELL = 46
@@ -226,7 +213,7 @@ def write_confusion_svg(path: str | Path, report: EvalReport) -> None:
                 f"<title>{value}</title></rect>"
             )
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts), encoding="utf-8")
+    write_text(path, ["\n".join(parts)])
 
 
 def emit_report(
@@ -236,10 +223,7 @@ def emit_report(
     confusion_path: str | Path,
     svg_path: str | Path,
 ) -> list[Path]:
-    try:
-        write_metrics(metrics_path, classifier, report)
-        write_confusion(confusion_path, report)
-        write_confusion_svg(svg_path, report)
-    except OSError as exc:
-        raise IoFailure(f"cannot write evaluation artifacts: {exc}") from exc
+    write_metrics(metrics_path, classifier, report)
+    write_confusion(confusion_path, report)
+    write_confusion_svg(svg_path, report)
     return [Path(metrics_path), Path(confusion_path), Path(svg_path)]

@@ -10,7 +10,6 @@ featurize reads back by indexing, without that tolerant parser.
 """
 from __future__ import annotations
 
-import csv
 import json
 import logging
 from collections.abc import Iterator
@@ -21,6 +20,7 @@ from typing import NamedTuple
 
 from .errors import EmptyTrace, IoFailure, MalformedJson, MissingBehaviorSection
 from .labels import ClassLabel
+from .tables import csv_field, read_table, write_table
 
 logger = logging.getLogger(__name__)
 
@@ -256,55 +256,40 @@ def report_from_json_line(line: str) -> BehaviorReport:
 # Corpus loading
 # ---------------------------------------------------------------------------
 
+_MANIFEST_COLUMNS = ("sample_id", "label", "path")
+
+
 def load_manifest(path: str | Path) -> list[tuple[str, ClassLabel, Path]]:
-    """Read a corpus manifest CSV (``sample_id,label,path``).
+    """Read a corpus manifest CSV by its ``sample_id``, ``label`` and ``path``
+    columns; other columns are ignored.
 
     Relative report paths are resolved against the manifest's directory.
     """
-    path = Path(path)
-    base = path.parent
+    base = Path(path).parent
     entries: list[tuple[str, ClassLabel, Path]] = []
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh, restval="")
-            for row in reader:
-                if not row["path"]:
-                    raise ValueError(f"line {reader.line_num}: no report path")
-                report_path = Path(row["path"])
-                if not report_path.is_absolute():
-                    report_path = base / report_path
-                entries.append((row["sample_id"], ClassLabel.from_name(row["label"]), report_path))
-    except (OSError, KeyError, ValueError) as exc:
-        raise IoFailure(f"cannot read manifest {path}: {exc}") from exc
+    with read_table(path, _MANIFEST_COLUMNS, by_name=True) as (records, _):
+        for sample_id, label, report_path in records:
+            if not report_path:
+                raise ValueError("no report path")
+            # An absolute report path replaces the base.
+            entries.append((sample_id, ClassLabel.from_name(label), base / report_path))
     return entries
 
 
-def csv_field(text: str) -> str:
-    """One text field of a CSV row, quoted the way ``csv.writer`` quotes it.
-
-    A field is quoted only when it holds a comma, a double quote or a line
-    feed, and inner quotes are doubled. A carriage return is quoted too,
-    which ``csv.writer`` with a line-feed terminator does not do, so that
-    ``csv.reader`` reads such a field back whole.
-    """
-    if "," in text or '"' in text or "\n" in text or "\r" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def write_manifest(path: str | Path, rows: list[tuple[str, str, str]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("sample_id,label,path\n")
-        fh.writelines(",".join(map(csv_field, row)) + "\n" for row in rows)
+    write_table(path, _MANIFEST_COLUMNS, (",".join(map(csv_field, row)) + "\n" for row in rows))
 
 
-def load_corpus(manifest_path: str | Path) -> Iterator[BehaviorReport]:
+def load_corpus(manifest_path: str | Path | list[tuple[str, ClassLabel, Path]]) -> Iterator[BehaviorReport]:
     """Parse the reports named in the manifest, yielding each in manifest order.
 
-    One report is parsed at a time and nothing is kept after it is yielded.
-    Reports with an empty trace are dropped with a warning.
+    ``manifest_path`` may also be the entries ``load_manifest`` already read,
+    so a caller that needs them too reads the manifest once. One report is
+    parsed at a time and nothing is kept after it is yielded. Reports with
+    an empty trace are dropped with a warning.
     """
-    for sample_id, label, report_path in load_manifest(manifest_path):
+    entries = manifest_path if isinstance(manifest_path, list) else load_manifest(manifest_path)
+    for sample_id, label, report_path in entries:
         try:
             raw = report_path.read_bytes()
         except OSError as exc:

@@ -10,7 +10,6 @@ final mask never exceeds ``ceil(target_ratio * V)`` columns.
 """
 from __future__ import annotations
 
-import csv
 import functools
 import math
 import re
@@ -19,9 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AllFeaturesRemoved, DimensionMismatch, IoFailure
-from .ingest import csv_field
+from .errors import AllFeaturesRemoved, DimensionMismatch
 from .labels import N_CLASSES
+from .tables import csv_field, read_table, write_table
 from .tokens import NGRAM_JOINER, TOKEN_JOINER, Vocabulary
 from .vectorize import FeatureMatrix
 
@@ -370,29 +369,22 @@ def hybrid_select(
 # CSV persistence
 # ---------------------------------------------------------------------------
 
+_MASK_COLUMNS = ("kept_index", "ngram", "mi_score")
+
+
 def write_mask(path: str | Path, mask: SelectionMask, vocabulary: Vocabulary) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("kept_index,ngram,mi_score\n")
-        fh.writelines(
-            f"{j},{csv_field(vocabulary.terms[j])},{mask.scores.get(j, 0.0):.17g}\n" for j in mask.kept
-        )
+    write_table(path, _MASK_COLUMNS, (
+        f"{j},{csv_field(vocabulary.terms[j])},{mask.scores.get(j, 0.0):.17g}\n" for j in mask.kept
+    ))
 
 
 def read_mask(path: str | Path) -> SelectionMask:
-    kept: list[int] = []
-    scores: dict[int, float] = {}
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh, restval=""):
-                j = int(row["kept_index"])
-                kept.append(j)
-                scores[j] = float(row["mi_score"])
-    except (OSError, KeyError, ValueError) as exc:
-        raise IoFailure(f"cannot read selection mask {path}: {exc}") from exc
-    return SelectionMask(kept=tuple(kept), scores=scores)
+    with read_table(path, _MASK_COLUMNS) as (records, _):
+        pairs = [(int(index), float(score)) for index, _, score in records]
+    return SelectionMask(kept=tuple([j for j, _ in pairs]), scores=dict(pairs))
 
 
 def write_selection_report(path: str | Path, mask: SelectionMask) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("stage,features_in,features_out\n")
-        fh.writelines(f"{csv_field(stage)},{n_in},{n_out}\n" for stage, n_in, n_out in mask.provenance)
+    write_table(path, ("stage", "features_in", "features_out"), (
+        f"{csv_field(stage)},{n_in},{n_out}\n" for stage, n_in, n_out in mask.provenance
+    ))

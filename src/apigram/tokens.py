@@ -8,16 +8,17 @@ unambiguous.
 """
 from __future__ import annotations
 
-import csv
 import re
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
-from .errors import EmptyCorpus, InvalidN, IoFailure
-from .ingest import ApiCallRecord, BehaviorReport, csv_field
+from .errors import EmptyCorpus, InvalidN
+from .ingest import ApiCallRecord, BehaviorReport
 from .labels import ClassLabel
+from .tables import csv_field, read_table, write_table
 
 _WHITESPACE = re.compile(r"[ \t\n\r\f\v]+")
 _CONTROL = re.compile(r"[\x00-\x1f\x7f]")
@@ -192,44 +193,34 @@ def build_vocabulary(documents: list[TokenDocument]) -> Vocabulary:
 # CSV persistence
 # ---------------------------------------------------------------------------
 
+def _ngram_rows(doc: TokenDocument) -> str:
+    # Each sample's rows are one string; only the text fields need csv
+    # quoting, which csv_field gives them.
+    prefix = f"{csv_field(doc.sample_id)},{csv_field(doc.label.value)},"
+    counts = doc.counts
+    return "".join([f"{prefix}{csv_field(term)},{counts[term]}\n" for term in sorted(counts)])
+
+
 def write_ngram_counts(path: str | Path, documents: list[TokenDocument]) -> None:
     """Write per-sample n-gram counts (terms sorted within each sample)."""
-    # Each sample's rows are written as one string; only the text fields
-    # need csv quoting, which csv_field gives them.
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("sample_id,label,ngram,count\n")
-        for doc in documents:
-            prefix = f"{csv_field(doc.sample_id)},{csv_field(doc.label.value)},"
-            counts = doc.counts
-            fh.write("".join([f"{prefix}{csv_field(term)},{counts[term]}\n" for term in sorted(counts)]))
+    write_table(path, ("sample_id", "label", "ngram", "count"), map(_ngram_rows, documents))
+
+
+_VOCAB_COLUMNS = ("index", "ngram", "df")
 
 
 def write_vocabulary(path: str | Path, vocabulary: Vocabulary) -> None:
     # One string per row, streamed; only the term needs csv quoting.
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("index,ngram,df\n")
-        fh.writelines(
-            f"{i},{csv_field(term)},{df}\n" for i, (term, df) in enumerate(zip(vocabulary.terms, vocabulary.df))
-        )
-        fh.write(f"#n_docs,,{vocabulary.n_docs}\n")
+    rows = (f"{i},{csv_field(term)},{df}\n" for i, (term, df) in enumerate(zip(vocabulary.terms, vocabulary.df)))
+    write_table(path, _VOCAB_COLUMNS, chain(rows, [f"#n_docs,,{vocabulary.n_docs}\n"]))
 
 
 def read_vocabulary(path: str | Path) -> Vocabulary:
-    terms: list[str] = []
-    df: list[int] = []
-    n_docs = 0
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header != ["index", "ngram", "df"]:
-                raise ValueError(f"unexpected header {header!r}")
-            for row in reader:
-                if row[0] == "#n_docs":
-                    n_docs = int(row[2])
-                    continue
-                terms.append(row[1])
-                df.append(int(row[2]))
-    except (OSError, ValueError, IndexError, StopIteration) as exc:
-        raise IoFailure(f"cannot read vocabulary {path}: {exc}") from exc
-    return Vocabulary(terms=tuple(terms), df=tuple(df), n_docs=n_docs)
+    """Read a vocabulary back; its last row must be the ``#n_docs`` row, so a
+    truncated file fails."""
+    with read_table(path, _VOCAB_COLUMNS) as (records, _):
+        *rows, (tag, _, n_docs) = records
+        if tag != "#n_docs":
+            raise ValueError("the last row is not the #n_docs row")
+        terms = tuple([term for _, term, _ in rows])
+        return Vocabulary(terms=terms, df=tuple([int(df) for _, _, df in rows]), n_docs=int(n_docs))

@@ -8,7 +8,6 @@ stay exactly zero, so sparsity is preserved.
 """
 from __future__ import annotations
 
-import csv
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
@@ -18,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyCorpus, EmptyDocument, IoFailure, ZeroDf
-from .ingest import csv_field
 from .labels import ClassLabel
+from .tables import csv_field, read_table, write_table
 from .tokens import TokenDocument, Vocabulary
 
 # One stored entry of a matrix, before it is ordered into CSR form.
@@ -216,25 +215,27 @@ def frequency_matrix(
 # CSV persistence (17 significant digits, so floats round-trip exactly)
 # ---------------------------------------------------------------------------
 
+_MATRIX_COLUMNS = ("row", "col", "weight")
+_LABEL_COLUMNS = ("row", "sample_id", "label")
+
+
 def write_matrix(path: str | Path, matrix: FeatureMatrix) -> None:
     # Every field is a number, so no csv quoting is ever needed: each row's
     # entries are written as one string.
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"row,col,weight\n#shape,{matrix.n_rows},{matrix.n_cols}\n")
-        bounds = matrix.indptr.tolist()
-        for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
-            entries = zip(matrix.indices[a:b].tolist(), matrix.data[a:b].tolist())
-            fh.write("".join([f"{i},{col},{w:.17g}\n" for col, w in entries]))
+    bounds = matrix.indptr.tolist()
+    rows = (
+        "".join([f"{i},{col},{w:.17g}\n" for col, w in zip(matrix.indices[a:b].tolist(), matrix.data[a:b].tolist())])
+        for i, (a, b) in enumerate(zip(bounds, bounds[1:]))
+    )
+    write_table(path, _MATRIX_COLUMNS, chain([f"#shape,{matrix.n_rows},{matrix.n_cols}\n"], rows))
 
 
 def write_labels(path: str | Path, matrix: FeatureMatrix) -> None:
     # Sample ids are free text that may need quoting, so csv_field writes them.
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("row,sample_id,label\n")
-        fh.writelines(
-            f"{i},{csv_field(sample_id)},{csv_field(label.value)}\n"
-            for i, (sample_id, label) in enumerate(zip(matrix.sample_ids, matrix.labels))
-        )
+    write_table(path, _LABEL_COLUMNS, (
+        f"{i},{csv_field(sample_id)},{csv_field(label.value)}\n"
+        for i, (sample_id, label) in enumerate(zip(matrix.sample_ids, matrix.labels))
+    ))
 
 
 def _is_blank(line: str) -> bool:
@@ -244,28 +245,20 @@ def _is_blank(line: str) -> bool:
 def read_matrix(path: str | Path, labels_path: str | Path) -> FeatureMatrix:
     """Read a matrix and its labels; zero weights are dropped, and entries
     outside ``#shape`` or stored twice are rejected."""
-    try:
-        with open(labels_path, newline="", encoding="utf-8") as fh:
-            pairs = [(row["sample_id"], ClassLabel.from_name(row["label"]))
-                     for row in csv.DictReader(fh, restval="")]
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header != ["row", "col", "weight"]:
-                raise ValueError(f"unexpected header {header!r}")
-            shape_row = next(reader)
-            if shape_row[0] != "#shape":
-                raise ValueError("missing shape row")
-            n_rows, n_cols = int(shape_row[1]), int(shape_row[2])
-            # numpy skips blank lines, and warns when it finds no entry line.
-            body = dropwhile(_is_blank, fh)
-            first = next(body, None)
-            if first is None:
-                entries = np.empty(0, _ENTRY)
-            else:
-                entries = np.loadtxt(chain([first], body), dtype=_ENTRY, delimiter=",", comments=None, ndmin=1)
-    except (OSError, KeyError, ValueError, IndexError, OverflowError, StopIteration) as exc:
-        raise IoFailure(f"cannot read matrix {path}: {exc}") from exc
+    with read_table(labels_path, _LABEL_COLUMNS) as (records, _):
+        pairs = [(sample_id, ClassLabel.from_name(label)) for _, sample_id, label in records]
+    with read_table(path, _MATRIX_COLUMNS) as (records, lines):
+        tag, n_rows, n_cols = next(records, ("", "", ""))
+        if tag != "#shape":
+            raise ValueError("missing #shape row")
+        n_rows, n_cols = int(n_rows), int(n_cols)
+        # numpy skips blank lines, and warns when it finds no entry line.
+        body = dropwhile(_is_blank, lines)
+        first = next(body, None)
+        if first is None:
+            entries = np.empty(0, _ENTRY)
+        else:
+            entries = np.loadtxt(chain([first], body), dtype=_ENTRY, delimiter=",", comments=None, ndmin=1)
     if len(pairs) != n_rows:
         raise IoFailure(f"label file {labels_path} does not match matrix shape")
     sample_ids, labels = [sid for sid, _ in pairs], [label for _, label in pairs]

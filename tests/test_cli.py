@@ -3,11 +3,12 @@ from __future__ import annotations
 
 import csv
 import json
+import shutil
 import weakref
 
 import pytest
 
-from apigram import cli
+from apigram import cli, ingest
 from apigram.cli import build_parser, main, resolve_config
 from apigram.config import SCHEMA, PipelineConfig, coerce, read_config, write_config
 from apigram.errors import ConfigError, DimensionMismatch
@@ -15,6 +16,7 @@ from apigram.evaluate import SplitSpec
 from apigram.ingest import load_manifest, report_from_json_line, write_manifest
 from apigram.models import HyperParams, ModelKind
 from apigram.select import SelectionConfig
+from apigram.tokens import read_vocabulary
 
 
 def _run(*argv):
@@ -481,6 +483,85 @@ def test_ingest_summary_counts_the_dropped_empty_traces(tmp_path, capsys):
     assert _run("ingest", "--manifest", str(tmp_path / "manifest.csv"), "--workdir", str(workdir)) == 0
     assert "ingest: parsed 2 reports, dropped 1 with an empty trace" in capsys.readouterr().out
     assert len((workdir / "corpus.jsonl").read_bytes().splitlines()) == 2
+
+
+@pytest.mark.parametrize("command", ["ingest", "pipeline"])
+def test_ingest_reads_the_manifest_once(tmp_path, monkeypatch, command, capsys):
+    corpus, workdir = tmp_path / "corpus", tmp_path / "run"
+    assert _run("synth", "--scale", "tiny", "--seed", "1", "--workdir", str(corpus)) == 0
+    manifest = corpus / "manifest.csv"
+    load_manifest(manifest)[0][2].write_text(json.dumps({"behavior": {"processes": [{"calls": []}]}}))
+    parses = []
+
+    def counting(path):
+        parses.append(path)
+        return load_manifest(path)
+
+    monkeypatch.setattr(ingest, "load_manifest", counting)
+    monkeypatch.setattr(cli, "load_manifest", counting)
+    capsys.readouterr()
+    assert _run(command, "--manifest", str(manifest), "--workdir", str(workdir), "--seed", "1") == 0
+    assert len(parses) == 1
+    summary = f"ingest: parsed 159 reports, dropped 1 with an empty trace -> {workdir / 'corpus.jsonl'}\n"
+    assert summary in capsys.readouterr().out
+
+
+def test_stages_read_back_a_field_longer_than_the_csv_default_limit(tmp_path):
+    # A call with a 200,000-character argument gives an n-gram term longer
+    # than the csv module's default field limit of 131,072 characters.
+    staged, joint = tmp_path / "staged", tmp_path / "joint"
+    assert _run("synth", "--scale", "tiny", "--seed", "3", "--workdir", str(staged)) == 0
+    for report in sorted((staged / "reports").glob("*.json"))[::4]:
+        document = json.loads(report.read_bytes())
+        call = {"api": "NtWriteFile", "arguments": ["x" * 200_000]}
+        document["behavior"]["processes"][0]["calls"].append(call)
+        report.write_text(json.dumps(document))
+    shutil.copytree(staged, joint)
+    common = ("--seed", "3", "--model", "decision_tree")
+    assert _run("pipeline", "--manifest", str(joint / "manifest.csv"), "--workdir", str(joint), *common) == 0
+    for command in _STAGE_COMMANDS[1:]:
+        assert _run(command, "--workdir", str(staged), *common) == 0, command
+    joint_files, staged_files = _files(joint), _files(staged)
+    assert sorted(joint_files) == sorted(staged_files)
+    for name, content in joint_files.items():
+        assert content == staged_files[name], name
+    assert max(map(len, read_vocabulary(staged / "vocab_1.csv").terms)) > 200_000
+
+
+@pytest.fixture(scope="module")
+def finished_workdir(tmp_path_factory):
+    """A tiny workdir after a full run, for each test to copy."""
+    workdir = tmp_path_factory.mktemp("finished") / "run"
+    assert _run(*_tiny_args(workdir)) == 0
+    return workdir
+
+
+_FEATURES = ("split.csv", "ngrams_1.csv", "vocab_1.csv", "tfidf_1.csv", "freq_1.csv", "labels_1.csv")
+_DATASET = ("split.csv", "tfidf_1.csv", "labels_1.csv", "selection_mask.csv")
+# (command, table): every table each stage writes or reads, and the table
+# whose failed write once ended the pipeline with a traceback.
+_TABLE_USES = (
+    [("synth", "manifest.csv"), ("ingest", "manifest.csv")]
+    + [("featurize", name) for name in _FEATURES]
+    + [("select", name) for name in ("split.csv", "vocab_1.csv", "tfidf_1.csv", "freq_1.csv", "labels_1.csv",
+                                     "selection_mask.csv", "selection_report.csv")]
+    + [(command, name) for command in ("train", "evaluate") for name in _DATASET]
+    + [("evaluate", name) for name in ("metrics.csv", "confusion.csv", "confusion.svg")]
+    + [("pipeline", "split.csv")]
+)
+
+
+@pytest.mark.parametrize("command, table", _TABLE_USES, ids=[f"{c}-{t}" for c, t in _TABLE_USES])
+def test_a_directory_in_a_tables_place_is_an_io_failure(tmp_path, finished_workdir, command, table, capsys):
+    workdir = tmp_path / "run"
+    shutil.copytree(finished_workdir, workdir)
+    (workdir / table).unlink()
+    (workdir / table).mkdir()
+    capsys.readouterr()
+    assert _run(command, "--scale", "tiny", "--workdir", str(workdir), "--model", "decision_tree", "--seed", "1") == 2
+    payload = _error_line(capsys)
+    assert payload["error"] == "IoFailure"
+    assert table in payload["message"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """The exported names: every ``__all__`` entry resolves, removed helpers stay
 gone, and every function the benchmark's tracer wraps still exists; the
-selection stages it wraps are each called once per cascade."""
+selection stages it wraps are each called once per cascade. Error codes are
+class names, and one module owns the CSV dialect."""
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import apigram
+import apigram.errors
 import apigram.models
 from apigram import select
 from apigram.cli import build_parser, resolve_config
@@ -55,6 +58,31 @@ def test_removed_parameters_are_gone():
 def test_stage_settings_have_one_builder():
     # PipelineConfig builds the model settings; no second path may return.
     assert not hasattr(apigram.PipelineConfig, "model_params")
+
+
+def test_every_error_code_is_its_class_name():
+    # The CLI's JSON error line reports ``exc.code``.
+    classes = [c for c in vars(apigram.errors).values() if isinstance(c, type) and issubclass(c, Exception)]
+    assert apigram.errors.IoFailure in classes
+    for error_class in classes:
+        assert error_class.code == error_class("message").code == error_class.__name__
+
+
+def test_the_csv_dialect_has_one_home():
+    # Every table goes through apigram.tables: one module imports csv, none
+    # writes through csv.writer, and csv_field is defined once.
+    sources = {path.name: ast.parse(path.read_text()) for path in Path(apigram.__file__).parent.rglob("*.py")}
+    nodes = {name: list(ast.walk(tree)) for name, tree in sources.items()}
+    importing = [
+        name for name, found in nodes.items()
+        if any(isinstance(node, ast.Import) and any(alias.name == "csv" for alias in node.names)
+               or isinstance(node, ast.ImportFrom) and node.module == "csv" for node in found)
+    ]
+    assert importing == ["tables.py"]
+    assert not any(isinstance(node, ast.Attribute) and node.attr == "writer" for found in nodes.values() for node in found)
+    defining = [name for name, found in nodes.items()
+                for node in found if isinstance(node, ast.FunctionDef) and node.name == "csv_field"]
+    assert defining == ["tables.py"]
 
 
 def test_every_traced_attribute_resolves():
