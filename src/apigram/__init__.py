@@ -3,149 +3,103 @@
 Sandbox-style JSON reports in; API-call n-gram TF-IDF features, a hybrid
 feature-selection cascade, six from-scratch classifiers, and evaluation
 artifacts out. Every stage is deterministic given its seed.
+
+The exported names load on first use, so ``import apigram`` loads neither
+numpy nor any stage module.
 """
 from __future__ import annotations
 
-from .config import PipelineConfig, read_config, write_config
-from .errors import (
-    AllFeaturesRemoved,
-    ClassTooSmall,
-    ConfigError,
-    CorruptModel,
-    DegenerateData,
-    DimensionMismatch,
-    EmptyCorpus,
-    EmptyDocument,
-    EmptyTestSet,
-    EmptyTrace,
-    InvalidN,
-    InvalidSpec,
-    IoFailure,
-    MalformedJson,
-    MissingArtifact,
-    MissingBehaviorSection,
-    NonFiniteInput,
-    PipelineError,
-    Unsupported,
-    VersionMismatch,
-    ZeroDf,
-)
-from .evaluate import (
-    EvalReport,
-    SplitSpec,
-    emit_report,
-    evaluate,
-    metrics_from_confusion,
-    stratified_split,
-)
-from .ingest import (
-    ApiCallRecord,
-    BehaviorReport,
-    load_corpus,
-    load_manifest,
-    parse_report,
-)
-from .labels import ALL_LABELS, N_CLASSES, ClassLabel
-from .models import (
-    DEFAULT_PARAMS,
-    ClassDistribution,
-    HyperParams,
-    ModelKind,
-    TrainedModel,
-    load_model,
-    predict,
-    predict_matrix,
-    predict_proba,
-    save_model,
-    train,
-)
-from .select import (
-    SelectionConfig,
-    SelectionMask,
-    hybrid_select,
-    mutual_information_all,
-)
-from .synth import ClassProfile, CorpusSpec, default_spec, generate_corpus
-from .tokens import (
-    TokenDocument,
-    Vocabulary,
-    build_vocabulary,
-    canonical_token,
-    documents_for_n,
-    extract_ngrams,
-)
-from .vectorize import FeatureMatrix, frequency_matrix, idf, tf, tfidf, tfidf_matrix
+import importlib
+import sys
+import types
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALL_LABELS",
-    "AllFeaturesRemoved",
-    "ApiCallRecord",
-    "BehaviorReport",
-    "ClassDistribution",
-    "ClassLabel",
-    "ClassProfile",
-    "ClassTooSmall",
-    "ConfigError",
-    "CorpusSpec",
-    "CorruptModel",
-    "DEFAULT_PARAMS",
-    "DegenerateData",
-    "DimensionMismatch",
-    "EmptyCorpus",
-    "EmptyDocument",
-    "EmptyTestSet",
-    "EmptyTrace",
-    "EvalReport",
-    "FeatureMatrix",
-    "HyperParams",
-    "InvalidN",
-    "InvalidSpec",
-    "IoFailure",
-    "MalformedJson",
-    "MissingArtifact",
-    "MissingBehaviorSection",
-    "ModelKind",
-    "N_CLASSES",
-    "NonFiniteInput",
-    "PipelineError",
-    "PipelineConfig",
-    "SelectionConfig",
-    "SelectionMask",
-    "SplitSpec",
-    "TokenDocument",
-    "TrainedModel",
-    "Unsupported",
-    "VersionMismatch",
-    "Vocabulary",
-    "ZeroDf",
-    "build_vocabulary",
-    "canonical_token",
-    "default_spec",
-    "documents_for_n",
-    "emit_report",
-    "evaluate",
-    "extract_ngrams",
-    "frequency_matrix",
-    "generate_corpus",
-    "hybrid_select",
-    "idf",
-    "load_corpus",
-    "load_manifest",
-    "load_model",
-    "metrics_from_confusion",
-    "mutual_information_all",
-    "parse_report",
-    "predict",
-    "predict_matrix",
-    "predict_proba",
-    "read_config",
-    "save_model",
-    "stratified_split",
-    "tf",
-    "tfidf",
-    "tfidf_matrix",
-    "train",
-    "write_config",
-]
+# Each exported name, by the submodule that defines it.
+_EXPORTS: dict[str, tuple[str, ...]] = {
+    "config": ("PipelineConfig", "read_config", "write_config"),
+    "errors": (
+        "AllFeaturesRemoved",
+        "ClassTooSmall",
+        "ConfigError",
+        "CorruptModel",
+        "DegenerateData",
+        "DimensionMismatch",
+        "EmptyCorpus",
+        "EmptyDocument",
+        "EmptyTestSet",
+        "EmptyTrace",
+        "InvalidN",
+        "InvalidSpec",
+        "IoFailure",
+        "MalformedJson",
+        "MissingArtifact",
+        "MissingBehaviorSection",
+        "NonFiniteInput",
+        "PipelineError",
+        "Unsupported",
+        "VersionMismatch",
+        "ZeroDf",
+    ),
+    "evaluate": (
+        "EvalReport",
+        "SplitSpec",
+        "emit_report",
+        "evaluate",
+        "metrics_from_confusion",
+        "stratified_split",
+    ),
+    "ingest": ("ApiCallRecord", "BehaviorReport", "load_corpus", "load_manifest", "parse_report"),
+    "labels": ("ALL_LABELS", "N_CLASSES", "ClassLabel"),
+    "models": (
+        "DEFAULT_PARAMS",
+        "ClassDistribution",
+        "HyperParams",
+        "ModelKind",
+        "TrainedModel",
+        "load_model",
+        "predict",
+        "predict_matrix",
+        "predict_proba",
+        "save_model",
+        "train",
+    ),
+    "select": ("SelectionConfig", "SelectionMask", "hybrid_select", "mutual_information_all"),
+    "synth": ("ClassProfile", "CorpusSpec", "default_spec", "generate_corpus"),
+    "tokens": (
+        "TokenDocument",
+        "Vocabulary",
+        "build_vocabulary",
+        "canonical_token",
+        "documents_for_n",
+        "extract_ngrams",
+    ),
+    "vectorize": ("FeatureMatrix", "frequency_matrix", "idf", "tf", "tfidf", "tfidf_matrix"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str) -> object:
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
+
+class _Package(types.ModuleType):
+    def __setattr__(self, name: str, value: object) -> None:
+        # Loading a submodule binds it on its package. Where an export has
+        # the submodule's name (``evaluate``), the export keeps the name.
+        if name in _HOME and isinstance(value, types.ModuleType):
+            return
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -13,6 +13,12 @@ the merged layers are checked once, before any command writes.
 """
 from __future__ import annotations
 
+if __name__ == "__main__":
+    # Run as a command: set the BLAS policy before the imports below load numpy.
+    from .__main__ import one_blas_thread
+
+    one_blas_thread()
+
 import argparse
 import json
 import os
@@ -23,7 +29,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .config import SCHEMA, PipelineConfig, coerce, read_config_values
-from .errors import ConfigError, MalformedJson, MissingArtifact, PipelineError
+from .errors import ConfigError, IoFailure, MalformedJson, MissingArtifact, PipelineError
 from .evaluate import evaluate, emit_report, stratified_split
 from .ingest import (
     BehaviorReport,
@@ -271,14 +277,20 @@ def _ingest(cfg: PipelineConfig) -> Iterator[BehaviorReport]:
     tmp_path = out_path.with_name(out_path.name + ".tmp")
     n_reports = 0
     try:
-        with open(tmp_path, "wb") as fh:
+        fh = open(tmp_path, "wb")
+    except OSError as exc:
+        raise IoFailure(f"cannot write {tmp_path}: {exc}") from exc
+    try:
+        with fh:
             for report in load_corpus(entries):
                 fh.write(report_to_json_bytes(report) + b"\n")
                 n_reports += 1
                 yield report
         os.replace(tmp_path, out_path)
-    except BaseException:
+    except BaseException as exc:
         tmp_path.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise IoFailure(f"cannot write {out_path}: {exc}") from exc
         raise
     print(
         f"ingest: parsed {n_reports} reports, dropped {len(entries) - n_reports} "
@@ -413,7 +425,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        cfg.workdir.mkdir(parents=True, exist_ok=True)
+        try:
+            cfg.workdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise IoFailure(f"cannot make the workdir {cfg.workdir}: {exc}") from exc
         _COMMANDS[args.command](cfg)
     except PipelineError as exc:
         line = json.dumps({"error": exc.code, "message": str(exc)}, sort_keys=True)

@@ -33,6 +33,7 @@ from ..errors import (
     VersionMismatch,
 )
 from ..labels import ALL_LABELS, ClassLabel, N_CLASSES
+from ..tables import write_text
 from ..vectorize import FeatureMatrix
 
 FORMAT_VERSION = 1
@@ -362,9 +363,7 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
         "data_fingerprint": model.data_fingerprint,
         "payload": model.learner.to_payload(),
     }
-    Path(path).write_text(
-        json.dumps(document, sort_keys=True, separators=(",", ":")), encoding="utf-8"
-    )
+    write_text(path, [json.dumps(document, sort_keys=True, separators=(",", ":"))])
 
 
 def load_model(path: str | Path) -> TrainedModel:

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import InvalidSpec
+from .errors import InvalidSpec, IoFailure
 from .ingest import write_manifest
 from .labels import ALL_LABELS, ClassLabel
 
@@ -270,11 +270,14 @@ def write_corpus(
     manifest path."""
     out_dir = Path(out_dir)
     reports_dir = out_dir / "reports"
-    reports_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for sample_id, raw, label in corpus:
-        (reports_dir / f"{sample_id}.json").write_bytes(raw)
-        rows.append((sample_id, label.value, f"reports/{sample_id}.json"))
+    try:
+        reports_dir.mkdir(parents=True, exist_ok=True)
+        for sample_id, raw, label in corpus:
+            (reports_dir / f"{sample_id}.json").write_bytes(raw)
+            rows.append((sample_id, label.value, f"reports/{sample_id}.json"))
+    except OSError as exc:
+        raise IoFailure(f"cannot write the reports under {reports_dir}: {exc}") from exc
     manifest_path = out_dir / "manifest.csv"
     write_manifest(manifest_path, rows)
     return manifest_path

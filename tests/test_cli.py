@@ -564,6 +564,33 @@ def test_a_directory_in_a_tables_place_is_an_io_failure(tmp_path, finished_workd
     assert table in payload["message"]
 
 
+@pytest.mark.parametrize("command, name", [
+    ("train", "model.json"),
+    ("ingest", "corpus.jsonl.tmp"),
+    ("synth", "reports/adware-0000.json"),
+])
+def test_a_directory_in_a_files_place_is_an_io_failure(tmp_path, finished_workdir, command, name, capsys):
+    workdir = tmp_path / "run"
+    shutil.copytree(finished_workdir, workdir)
+    (workdir / name).unlink(missing_ok=True)
+    (workdir / name).mkdir()
+    capsys.readouterr()
+    assert _run(command, "--scale", "tiny", "--workdir", str(workdir), "--model", "decision_tree", "--seed", "1") == 2
+    payload = _error_line(capsys)
+    assert payload["error"] == "IoFailure"
+    assert (workdir / name).is_dir()
+    assert (workdir / "corpus.jsonl").read_bytes() == (finished_workdir / "corpus.jsonl").read_bytes()
+
+
+def test_a_file_in_the_workdirs_place_is_an_io_failure(tmp_path, capsys):
+    workdir = tmp_path / "run"
+    workdir.write_text("not a directory")
+    assert _run(*_tiny_args(workdir)) == 2
+    payload = _error_line(capsys)
+    assert payload["error"] == "IoFailure"
+    assert str(workdir) in payload["message"]
+
+
 # ---------------------------------------------------------------------------
 # Configuration plumbing
 # ---------------------------------------------------------------------------

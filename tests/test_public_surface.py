@@ -1,13 +1,18 @@
-"""The exported names: every ``__all__`` entry resolves, removed helpers stay
-gone, and every function the benchmark's tracer wraps still exists; the
-selection stages it wraps are each called once per cascade. Error codes are
-class names, and one module owns the CSV dialect."""
+"""The exported names: every ``__all__`` entry resolves, to its home
+module's object whatever was imported first, without loading numpy on
+``import apigram``; removed helpers stay gone, and every function the
+benchmark's tracer wraps still exists; the selection stages it wraps are
+each called once per cascade. Error codes are class names, and one module
+owns the CSV dialect."""
 from __future__ import annotations
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -40,6 +45,45 @@ def test_every_exported_name_resolves_once(package):
     assert len(names) == len(set(names))
     for name in names:
         assert getattr(package, name, None) is not None, name
+
+
+def _run_python(code: str) -> str:
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True).stdout
+
+
+def test_importing_the_package_loads_no_numpy():
+    _run_python("import apigram, sys; assert 'numpy' not in sys.modules")
+
+
+# Each export is the object its home module defines, also after the
+# submodule ``apigram.evaluate`` has been loaded, which binds that name on
+# the package; and ``from apigram import select`` gives the module.
+_HOMES = """
+import importlib, json
+import apigram, apigram.models, apigram.models.base
+wrong = [name for name in apigram.__all__ if getattr(apigram, name)
+         is not getattr(importlib.import_module("apigram." + apigram._HOME[name]), name)]
+wrong += ["models." + name for name in apigram.models.__all__
+          if getattr(apigram.models, name) is not getattr(apigram.models.base, name)]
+from apigram import evaluate, select
+wrong += [] if evaluate is sys.modules["apigram.evaluate"].evaluate else ["evaluate"]
+wrong += [] if select is sys.modules["apigram.select"] else ["select"]
+print(json.dumps(wrong))
+"""
+
+
+@pytest.mark.parametrize("first", [
+    "import apigram.cli",
+    "import apigram.evaluate",
+    "import apigram; apigram.evaluate; import apigram.cli",
+])
+def test_every_export_is_its_home_modules_object(first):
+    assert json.loads(_run_python(f"import sys; {first}\n{_HOMES}")) == []
+    assert inspect.ismodule(select) and select.__name__ == "apigram.select"
 
 
 @pytest.mark.parametrize("module_name", sorted(REMOVED))
