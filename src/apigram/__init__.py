@@ -77,20 +77,25 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
     "vectorize": ("FeatureMatrix", "frequency_matrix", "idf", "tf", "tfidf", "tfidf_matrix"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+# The submodules that ``apigram.<name>`` reaches without importing it first.
+_SUBMODULES = frozenset(_EXPORTS) | {"tables"}
 
 __all__ = sorted(_HOME)
 
 
 def __getattr__(name: str) -> object:
-    if name not in _HOME:
+    if name in _HOME:
+        value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
     globals()[name] = value
     return value
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)
 
 
 class _Package(types.ModuleType):

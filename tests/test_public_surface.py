@@ -86,6 +86,19 @@ def test_every_export_is_its_home_modules_object(first):
     assert inspect.ismodule(select) and select.__name__ == "apigram.select"
 
 
+def test_import_apigram_reaches_every_submodule():
+    # As when the package loaded them eagerly: ``import apigram`` alone
+    # reaches each submodule by attribute; ``evaluate`` stays the function.
+    _run_python(
+        "import apigram, inspect\n"
+        "apigram.select.hybrid_select; apigram.models.train; apigram.ingest.load_corpus\n"
+        "for name in ('config', 'errors', 'ingest', 'labels', 'models', 'select', 'synth',"
+        " 'tables', 'tokens', 'vectorize'):\n"
+        "    assert inspect.ismodule(getattr(apigram, name)), name\n"
+        "assert inspect.isfunction(apigram.evaluate)\n"
+    )
+
+
 @pytest.mark.parametrize("module_name", sorted(REMOVED))
 def test_removed_helpers_are_gone(module_name):
     # importlib: the package rebinds ``apigram.evaluate`` to the function.
